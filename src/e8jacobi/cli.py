@@ -651,6 +651,9 @@ def main(argv=None) -> int:
     try:
         with config.using(**overrides):
             return args.func(args)
+    except DivisionError as exc:  # a ValueError subclass, so caught first
+        print(f"mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -663,9 +666,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
-    except DivisionError as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -202,36 +202,52 @@ def _coxeter_order(comp: list[int], adj: dict[int, list[int]]) -> int:
 
 
 @lru_cache(maxsize=None)
+def parabolic_order(nodes: frozenset[int]) -> int:
+    """Order of the parabolic subgroup W_J generated by the reflections of `nodes`."""
+    order = 1
+    for comp, adj in _components(nodes):
+        order *= _coxeter_order(comp, adj)
+    return order
+
+
+@lru_cache(maxsize=None)
 def orbit_size(m: tuple[int, ...]) -> int:
     """Orbit cardinality |W m| from the parabolic stabiliser of the dominant rep."""
     m = to_dominant(m)
-    zero_nodes = frozenset(i for i in range(RANK) if m[i] == 0)
-    stab = 1
-    for comp, adj in _components(zero_nodes):
-        stab *= _coxeter_order(comp, adj)
+    stab = parabolic_order(frozenset(i for i in range(RANK) if m[i] == 0))
     assert WEYL_ORDER % stab == 0
     return WEYL_ORDER // stab
 
 
 def orbit_vectors(m) -> np.ndarray:
-    """All orbit elements of the dominant representative of m, as an (N, 8) array."""
+    """All orbit elements of the dominant representative of m, as an (N, 8) array.
+
+    The simple reflection s_i sends v to v - v_i alpha_i, which lowers the height
+    by exactly v_i when v_i > 0, and every orbit element other than the dominant
+    one (the unique highest) is reached from a higher one this way.  So the orbit
+    is swept one height level at a time, highest first: a level is complete once
+    every higher level has been expanded, and it is deduplicated on its own,
+    since vectors of different heights differ.  Rows come out by falling height.
+    """
     m = to_dominant(m)
-    frontier = np.array([m], dtype=np.int64)
-    seen = np.sort(encode(frontier))
-    blocks = [frontier]
-    while len(frontier):
-        cand = np.concatenate(
-            [frontier - frontier[:, i : i + 1] * CARTAN_NP[i] for i in range(RANK)]
-        )
-        keys = encode(cand)
-        uniq, first = np.unique(keys, return_index=True)
-        fresh = ~np.isin(uniq, seen, assume_unique=False)
-        frontier = cand[first[fresh]]
-        if len(frontier):
-            seen = np.union1d(seen, uniq[fresh])
-            blocks.append(frontier)
+    pending: dict[int, list[np.ndarray]] = {height(m): [np.array([m], dtype=np.int64)]}
+    blocks = []
+    while pending:
+        h = max(pending)
+        level = np.concatenate(pending.pop(h))
+        _, first = np.unique(encode(level), return_index=True)
+        level = level[first]
+        blocks.append(level)
+        for i in range(RANK):
+            down = level[:, i] > 0
+            drops = level[down, i]
+            children = level[down] - drops[:, None] * CARTAN_NP[i]
+            for d in np.unique(drops):
+                pending.setdefault(h - int(d), []).append(children[drops == d])
     out = np.concatenate(blocks)
-    assert len(out) == orbit_size(m)
+    if len(out) != orbit_size(m):
+        raise ArithmeticError(
+            f"orbit of {m}: enumerated {len(out)} vectors, formula gives {orbit_size(m)}")
     return out
 
 

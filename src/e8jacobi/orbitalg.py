@@ -20,9 +20,12 @@ repeated one-orbit convolution passes
     orb(x) * u_i = sum_y  M(x, i; y) orb(y),
     M(x, i; y) = |W x| * #{v in W w_i : dom(x + v) = y} / |W y|,
 
-each a single vectorised dominant-reduction over the fundamental orbit.  The
-exactness of the integer division and the total-count conservation law
-sum_y N(l, y) |W y| = prod |W w_i|^{l_i} are asserted on every computed row.
+each a single vectorised dominant-reduction.  The count is constant on the
+orbits of the stabiliser W_x in W w_i, so a pass reduces one representative
+per stabiliser orbit, weighted by its size, not the whole fundamental orbit.
+The exactness of the integer division and the total-count conservation law
+sum_y N(l, y) |W y| = prod |W w_i|^{l_i} are checked on every computed row
+(ArithmeticError if either fails).
 
 u-polynomials are dicts keyed by packed exponents (base 32 per generator), so
 monomial multiplication is integer addition of keys.
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import config
 from .lattice import (
+    FUNDAMENTAL,
     RANK,
     ZERO,
     decode,
@@ -42,6 +46,7 @@ from .lattice import (
     encode,
     fundamental_orbit,
     orbit_size,
+    parabolic_order,
     t_degree,
 )
 
@@ -77,21 +82,39 @@ _mpass_dirty = False
 
 
 def _orbit_pass(x: tuple[int, ...], i: int) -> dict[tuple[int, ...], int]:
-    """Decompose orb(x) * u_i into orbit sums: one vectorised reduction pass."""
+    """Decompose orb(x) * u_i into orbit sums, for dominant x.
+
+    The stabiliser W_J of x (J = the zero nodes of x) permutes W·w_i and
+    fixes dom(x + v) along each of its orbits, so only the J-dominant v
+    (v_j >= 0 for j in J), one per W_J-orbit, are reduced, each counted
+    |W_J| / |W_{J ∩ zero(v)}| times.  For x = 0 that is w_i alone.
+    """
     key = (x, i)
     row = _mpass.get(key)
     if row is not None:
         return row
-    arr = fundamental_orbit(i) + np.array(x, dtype=np.int64)
-    dom = dominant_batch(arr)
-    keys, counts = np.unique(encode(dom), return_counts=True)
+    J = [j for j in range(RANK) if x[j] == 0]
+    if len(J) == RANK:
+        reps = np.array([FUNDAMENTAL[i]], dtype=np.int64)
+    else:
+        reps = fundamental_orbit(i)
+        reps = reps[(reps[:, J] >= 0).all(axis=1)]
+    stab_x = parabolic_order(frozenset(J))
+    patterns, of_pattern = np.unique(reps[:, J] == 0, axis=0, return_inverse=True)
+    sizes = np.array([stab_x // parabolic_order(frozenset(j for j, z in zip(J, p) if z))
+                      for p in patterns], dtype=np.int64)
+    keys, of_key = np.unique(encode(dominant_batch(reps + np.array(x, dtype=np.int64))),
+                             return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, of_key.ravel(), sizes[of_pattern.ravel()])
     sx = orbit_size(x)
     row = {}
-    for y, c in zip(decode(keys), counts):
+    for y, c in zip(decode(keys), counts.tolist()):
         y = tuple(int(v) for v in y)
-        num = sx * int(c)
+        num = sx * c
         sy = orbit_size(y)
-        assert num % sy == 0, "orbit product multiplicity must be integral"
+        if num % sy:
+            raise ArithmeticError(f"orb{x} * u_{i + 1}: multiplicity of orb{y} is not integral")
         row[y] = num // sy
     _mpass[key] = row
     global _mpass_dirty
@@ -119,8 +142,8 @@ def mono_to_orbit(l: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         total = 1
         for i in range(RANK):
             total *= _FUND_SIZES[i] ** l[i]
-        assert sum(n * orbit_size(y) for y, n in row.items()) == total, \
-            "orbit count conservation failed"
+        if sum(n * orbit_size(y) for y, n in row.items()) != total:
+            raise ArithmeticError(f"u^{l}: orbit count conservation failed")
     _mono[l] = row
     return row
 
@@ -132,7 +155,8 @@ def orbit_to_mono(x: tuple[int, ...]) -> dict[int, int]:
     if row is not None:
         return row
     expansion = mono_to_orbit(x)
-    assert expansion.get(x) == 1, "u^x must contain orb(x) with coefficient 1"
+    if expansion.get(x) != 1:
+        raise ArithmeticError(f"u^{x} must contain orb{x} with coefficient 1")
     acc: dict[int, int] = {pack(x): 1}
     for y, n in expansion.items():
         if y == x:
@@ -150,7 +174,8 @@ def orbit_to_mono(x: tuple[int, ...]) -> dict[int, int]:
         for i, e in enumerate(unpack(k)):
             term *= _FUND_SIZES[i] ** e
         total += term
-    assert total == orbit_size(x), "orbit-to-monomial inverse is inconsistent"
+    if total != orbit_size(x):
+        raise ArithmeticError(f"orbit-to-monomial inverse of orb{x} fails at z = 0")
     _inv[x] = acc
     return acc
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from random import Random
 
 from . import config, linalg
-from .expansion import (JacobiExpansion, _div_unit_series, add, check_support,
+from .expansion import (JacobiExpansion, _div_unit_series, add,
                         div_delta, div_e4, scale, x_form, zero)
 from .genring import (GEN_ORDER, GeneratorPolynomial, P165, expand, monomials,
                       sakai_generators)
@@ -717,7 +717,6 @@ def singular_solve(t: int, delta_power: int | None = None,
     assert linalg.rank(base_rows, len(channels)) == dim
 
     for f in basis:
-        check_support(f)
         for n in range(f.trunc):
             for m in f.coeffs[n]:
                 assert norm(m) == 2 * n * t, (

@@ -84,6 +84,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out and "witness" in out
 
 
+def test_division_error_exit_code(capsys, monkeypatch):
+    # A failed exact division is a mismatch (1), not a usage error (3).
+    def fail(f, n0):
+        raise cli.DivisionError("q^0 term does not vanish")
+
+    monkeypatch.setattr(cli, "div_delta", fail)
+    code, _, err = run(capsys, ["verify", "lemma34"])
+    assert code == 1 and err.startswith("mismatch:")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, ["basis", "weak", "2"])
     assert code == 3 and "weight" in err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from e8jacobi import config
+from e8jacobi import config, lattice
 from e8jacobi.lattice import (CARTAN, FUNDAMENTAL, HEIGHT_VEC, RANK, T_WEIGHTS,
                               WEIGHT_GRAM, WEYL_ORDER, ZERO, decode,
                               dominant_batch, dominant_by_T, dominant_by_norm,
@@ -53,13 +53,38 @@ def test_fundamental_orbit_sizes():
 
 
 def test_orbit_vectors_brute_matches_formula():
-    # orbit_vectors BFS-asserts its count against the stabilizer formula.
+    # orbit_vectors checks its count against the stabiliser formula.
     for i in (0, 5, 6, 7):
         arr = fundamental_orbit(i)
         assert len(arr) == FUND_SIZES[i]
         norms = (arr @ GRAM_NP * arr).sum(axis=1)
         assert (norms == norm(FUNDAMENTAL[i])).all()
         assert to_dominant(tuple(arr[-1])) == FUNDAMENTAL[i]
+
+
+@pytest.mark.parametrize("m, size", [
+    *zip(FUNDAMENTAL, FUND_SIZES),
+    ((1, 0, 0, 0, 0, 0, 0, 1), 30_240),
+    ((0, 1, 0, 0, 1, 0, 0, 0), 1_209_600),
+])
+def test_orbit_vectors_is_reflection_closure(m, size):
+    # Distinct rows containing m, closed under every simple reflection, and as
+    # many as the orbit has: exactly the closure of {m}.
+    arr = orbit_vectors(m)
+    assert len(arr) == size
+    keys = np.sort(encode(arr))
+    assert (np.diff(keys) > 0).all()
+    assert encode(np.array([m]))[0] in keys
+    cartan = np.array(CARTAN, dtype=np.int64)
+    for i in range(RANK):
+        reflected = arr - arr[:, i:i + 1] * cartan[i]
+        assert (np.sort(encode(reflected)) == keys).all()
+
+
+def test_orbit_vectors_checks_its_count(monkeypatch):
+    monkeypatch.setattr(lattice, "orbit_size", lambda m: 241)
+    with pytest.raises(ArithmeticError):
+        orbit_vectors(FUNDAMENTAL[7])
 
 
 def test_shells_match_divisor_formula():

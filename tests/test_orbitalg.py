@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from e8jacobi import config
-from e8jacobi.lattice import (RANK, ZERO, dominant_batch, fundamental_orbit,
-                              norm, orbit_size, to_dominant)
+from e8jacobi import config, orbitalg
+from e8jacobi.lattice import (FUNDAMENTAL, RANK, ZERO, decode, dominant_batch,
+                              encode, fundamental_orbit, norm, orbit_size,
+                              to_dominant)
 from e8jacobi.orbitalg import (KEY_ONE, key_t_degree, mono_to_orbit,
                                orbit_dict_to_upoly, orbit_to_mono, pack,
                                save_tables, unpack, upoly_add_into,
@@ -102,7 +103,31 @@ def test_key_t_degree():
     assert key_t_degree(pack(expo)) == 6  # T(w8) = 2 per power
 
 
-def test_table_persistence_roundtrip(tmp_path):
+@pytest.mark.parametrize("x", [ZERO, FUNDAMENTAL[0], FUNDAMENTAL[7],
+                               (1, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0, 0, 0)])
+def test_orbit_pass_matches_unreduced(x, monkeypatch):
+    # Reference: reduce every v in W w_i, not one per stabiliser orbit.
+    monkeypatch.setattr(orbitalg, "_mpass", {})
+    monkeypatch.setattr(orbitalg, "_mpass_dirty", False)
+    for i in range(RANK):
+        if orbit_size(FUNDAMENTAL[i]) > 69_120:
+            continue
+        dom = dominant_batch(fundamental_orbit(i) + np.array(x, dtype=np.int64))
+        keys, counts = np.unique(encode(dom), return_counts=True)
+        ref = {}
+        for y, c in zip(decode(keys), counts):
+            y = tuple(int(v) for v in y)
+            assert orbit_size(x) * int(c) % orbit_size(y) == 0
+            ref[y] = orbit_size(x) * int(c) // orbit_size(y)
+        assert orbitalg._orbit_pass(x, i) == ref
+
+
+def test_table_persistence_roundtrip(tmp_path, monkeypatch):
+    # Start from empty tables, so the pass is built here whatever the session
+    # loaded, and the session's own unsaved passes stay marked for its teardown.
+    monkeypatch.setattr(orbitalg, "_mpass", {})
+    monkeypatch.setattr(orbitalg, "_mono", {})
+    monkeypatch.setattr(orbitalg, "_mpass_dirty", False)
     with config.using(cache_dir=str(tmp_path)):
         mono_to_orbit((0, 0, 0, 0, 0, 0, 0, 2))
         save_tables()
