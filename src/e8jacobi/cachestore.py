@@ -26,14 +26,23 @@ class CacheStore:
         assert self.root is not None
         return self.root / SCHEMA_VERSION / f"{entry_id}.json"
 
-    def load(self, entry_id: str):
+    def load(self, entry_id: str) -> dict | None:
+        """The stored JSON object, or None on a miss.
+
+        A file that is not valid JSON, or not a JSON object, is a miss too:
+        the caller recomputes and `store` overwrites it.
+        """
         if not self.enabled:
             return None
         path = self._path(entry_id)
         if not path.is_file():
             return None
-        with open(path) as fh:
-            return json.load(fh)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            return None
+        return payload if isinstance(payload, dict) else None
 
     def store(self, entry_id: str, payload) -> None:
         if not self.enabled:

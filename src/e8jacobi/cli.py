@@ -71,6 +71,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # No option starts with "-" and a digit or a capital, so "-2*A1" and
+        # "-A1" are polynomials with a leading minus: positionals.
+        if re.match(r"-[0-9A-Z]", arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 # -- output plumbing ---------------------------------------------------------
 
@@ -522,7 +529,7 @@ def cmd_generators(args) -> int:
     t = args.index
     _check_index_budget("weak", t)
     trunc = max(config.get_config().truncation, st.n_cap(t) + 1)
-    mod = st.module_generators(t, trunc, jobs=config.get_config().jobs)
+    mod = st.module_generators(t, trunc)
     lines = [mod.weight_poly_str()]
     if args.certificates:
         for k in sorted(mod.generators):
@@ -564,8 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="highest q-order to compute (default 5)")
     common.add_argument("--cache-dir", default=None,
                         help="expansion cache directory (default $E8JACOBI_CACHE)")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for independent weights")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=None, help="output format (default text)")
     common.add_argument("--max-shell-norm", type=int, default=None,
@@ -641,8 +646,6 @@ def main(argv=None) -> int:
         overrides["truncation"] = order + 1
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.format is not None:
         overrides["fmt"] = args.format
     if args.max_shell_norm is not None:
@@ -651,7 +654,9 @@ def main(argv=None) -> int:
     try:
         with config.using(**overrides):
             return args.func(args)
-    except DivisionError as exc:  # a ValueError subclass, so caught first
+    except (DivisionError, ArithmeticError) as exc:
+        # DivisionError is a ValueError, so this comes before ValueError.
+        # ArithmeticError is what the engine's self-checks raise.
         print(f"mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except UsageError as exc:

@@ -19,7 +19,6 @@ class TruncationError(RuntimeError):
 class EngineConfig:
     truncation: int = DEFAULT_TRUNC
     cache_dir: str | None = os.environ.get("E8JACOBI_CACHE")
-    jobs: int = 1
     max_shell_norm: int = 16
     fmt: str = "text"
 

@@ -20,7 +20,6 @@ from .expansion import (
     JacobiExpansion,
     add,
     eval_zero,
-    from_payload,
     from_qseries,
     hecke_v,
     level_trace,
@@ -30,7 +29,6 @@ from .expansion import (
     scale_z,
     sub,
     theta_e8,
-    to_payload,
     x_form,
     zero,
 )
@@ -154,7 +152,11 @@ class GeneratorPolynomial:
                 if m and m.group(1) in _GEN_POS:
                     expo[_GEN_POS[m.group(1)]] += int(m.group(2) or 1)
                 elif re.fullmatch(r"\d+(?:/\d+)?", factor):
-                    coeff *= Fraction(factor)
+                    try:
+                        coeff *= Fraction(factor)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {factor!r} "
+                                         f"at position {pos}") from None
                 else:
                     raise ValueError(
                         f"cannot parse factor {factor!r} at position {pos}")
@@ -325,10 +327,6 @@ def _partial_generators(trunc: int) -> dict[str, JacobiExpansion]:
     return gens
 
 
-def _mono_id(ab: Expo, trunc: int) -> str:
-    return "mono-" + "_".join(map(str, ab)) + f"@{trunc}"
-
-
 def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion]) -> JacobiExpansion:
     """Expansion of the monomial in A/B generators only (no E4/E6 part)."""
     assert gens["A1"].trunc >= trunc, "generator set shorter than requested order"
@@ -336,22 +334,14 @@ def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion]) -> Jac
     hit = _mono_cache.get(key)
     if hit is not None:
         return hit
-    if not any(ab):
+    if any(ab):
+        name = next(n for n in _STRIP if ab[_GEN_POS[n] - 2])
+        sub_ab = list(ab)
+        sub_ab[_GEN_POS[name] - 2] -= 1
+        out = multiply(_ab_expansion(tuple(sub_ab), trunc, gens), gens[name])
+    else:
         out = from_qseries(QSeries.constant(1, trunc), 0)
-        _mono_cache[key] = out
-        return out
-    store = config.get_store()
-    payload = store.load(_mono_id(ab, trunc))
-    if payload is not None and payload.get("truncation") == trunc:
-        out = from_payload(payload)
-        _mono_cache[key] = out
-        return out
-    name = next(n for n in _STRIP if ab[_GEN_POS[n] - 2])
-    sub_ab = list(ab)
-    sub_ab[_GEN_POS[name] - 2] -= 1
-    out = multiply(_ab_expansion(tuple(sub_ab), trunc, gens), gens[name])
     _mono_cache[key] = out
-    store.store(_mono_id(ab, trunc), to_payload(out))
     return out
 
 

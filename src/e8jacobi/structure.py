@@ -17,7 +17,6 @@ holomorphic subspaces (`holo_dim`), the weight-4 singular spaces
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -438,8 +437,8 @@ def _image_vectors(space: WeakSpace, below4: WeakSpace | None,
     return out
 
 
-def module_generators(t: int, trunc: int | None = None, gens=None,
-                      jobs: int | None = None) -> ModuleDescription:
+def module_generators(t: int, trunc: int | None = None,
+                      gens=None) -> ModuleDescription:
     """All r(t) generators of the index-t module of weak forms.
 
     Scans weights upward from the prior lower bound; in each weight the
@@ -453,20 +452,10 @@ def module_generators(t: int, trunc: int | None = None, gens=None,
     if trunc is None:
         trunc = config.get_config().truncation
     gens = _ensure_gens(gens, trunc)
-    if jobs is None:
-        jobs = config.get_config().jobs
 
     start = -5 * t - (5 * t) % 2
     weights = list(range(start, 4 + 1, 2))
-    spaces: dict[int, WeakSpace] = {}
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for k, sp in zip(weights, pool.map(
-                    lambda k: weak_basis(k, t, trunc, gens=gens), weights)):
-                spaces[k] = sp
-    else:
-        for k in weights:
-            spaces[k] = weak_basis(k, t, trunc, gens=gens)
+    spaces = {k: weak_basis(k, t, trunc, gens=gens) for k in weights}
 
     counts: dict[int, int] = {}
     generators: dict[int, list[Generator]] = {}

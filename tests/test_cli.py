@@ -6,7 +6,7 @@ import json
 import pytest
 
 import e8jacobi.structure as st
-from e8jacobi import cli
+from e8jacobi import cli, genring
 
 EXPAND_A1_2 = ("1 + q*O_{1,240}^{[00000001]} "
                "+ q^2*O_{2,2160}^{[10000000]}")
@@ -126,3 +126,68 @@ def test_polynomial_form_argument(capsys):
     code, out, _ = run(capsys, ["expand", "A1^2 - A2*E4", "1"])
     assert code == 0
     assert out.strip().startswith("q*(")  # weak combination starts at q^1
+
+
+def test_arithmetic_error_exit_code(capsys, monkeypatch):
+    # A failed engine self-check (ArithmeticError) is a mismatch, exit 1.
+    def fail(gens, trunc):
+        raise ArithmeticError("pivot identity fails for the pinned B4")
+
+    monkeypatch.setattr(cli, "pivot_identity_residual", fail)
+    code, _, err = run(capsys, ["verify", "lemma31", "--order", "2"])
+    assert code == 1 and err.startswith("mismatch:")
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    code, _, err = run(capsys, ["expand", "1/0*A1", "1"])
+    assert code == 3 and "zero denominator" in err and "position" in err
+
+
+def test_leading_minus_polynomial(capsys):
+    for text, constant in (("-A1", "-1"), ("-2*A1", "-2")):
+        code, out, _ = run(capsys, ["expand", text, "1"])
+        assert code == 0
+        assert out.strip().startswith(constant + " + q*")
+    code, _, err = run(capsys, ["expand", "A1", "1", "--bogus"])
+    assert code == 3 and "--bogus" in err
+
+
+def test_negative_range_argument(capsys):
+    # A range that starts below zero is a value, not an option.
+    code, out, _ = run(capsys, ["tables", "stability", "--range", "-24:-20"])
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == \
+        ["-20", "-22", "-24"]
+
+
+def test_expand_writes_one_cache_entry(capsys, tmp_path, monkeypatch):
+    # Start without in-process monomial bodies, so each is built here.
+    monkeypatch.setattr(genring, "_mono_cache", {})
+    code, _, _ = run(capsys, ["expand", "A1^2 - A2*E4", "1",
+                              "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert len(list(tmp_path.glob("*/*.json"))) == 1
+
+
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
+    argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    entry = tmp_path / "1" / "A1.json"
+    entry.write_text(entry.read_text()[:40])
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.strip() == EXPAND_A1_2
+    assert json.loads(entry.read_text())["form_id"] == "A1"
+
+
+def test_truncated_monomial_entries_are_ignored(capsys, tmp_path, monkeypatch):
+    # Monomial bodies of "A1^2 - A2*E4" at order 1, as an older engine stored
+    # them on disk, truncated; they must never be read.
+    argv = ["expand", "A1^2 - A2*E4", "1"]
+    code, expected, _ = run(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(genring, "_mono_cache", {})
+    (tmp_path / "1").mkdir()
+    for ab in ("1_0_0_0_0_0_0_0_0", "2_0_0_0_0_0_0_0_0", "0_1_0_0_0_0_0_0_0"):
+        (tmp_path / "1" / f"mono-{ab}@2.json").write_text('{"coeffs": [[')
+    code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
+    assert code == 0 and out == expected

@@ -46,6 +46,11 @@ def test_parse_error_reports_position():
         GeneratorPolynomial.from_text("A1^2 - A2*Q7")
 
 
+def test_zero_denominator_reports_position():
+    with pytest.raises(ValueError, match="zero denominator.*position 5"):
+        GeneratorPolynomial.from_text("A1^2-1/0*A2*E4")
+
+
 def test_monomial_enumeration():
     assert [GeneratorPolynomial.monomial(e).weight
             for e in map(tuple, monomials(4, 1))] == [4]

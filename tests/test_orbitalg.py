@@ -132,3 +132,14 @@ def test_table_persistence_roundtrip(tmp_path, monkeypatch):
         mono_to_orbit((0, 0, 0, 0, 0, 0, 0, 2))
         save_tables()
         assert (tmp_path / "1" / "orbit-pass-table.json").is_file()
+
+
+def test_truncated_table_loads_nothing(tmp_path, monkeypatch):
+    # An unreadable pass table is a cache miss: nothing loaded, nothing raised.
+    monkeypatch.setattr(orbitalg, "_mpass", {})
+    entry = tmp_path / "1" / "orbit-pass-table.json"
+    entry.parent.mkdir()
+    entry.write_text('{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1"')
+    with config.using(cache_dir=str(tmp_path)):
+        orbitalg.load_tables()
+    assert orbitalg._mpass == {}
