@@ -178,9 +178,12 @@ def resolve_form(name_or_text: str, trunc: int) -> JacobiExpansion:
     form_id, poly = _form_id(name_or_text)
     store = config.get_store()
     payload = store.load(form_id)
-    if (payload is not None and payload.get("schema") == SCHEMA_VERSION
-            and payload.get("truncation", 0) >= trunc):
-        return from_payload(payload).truncate(trunc)
+    try:
+        if (payload is not None and payload.get("schema") == SCHEMA_VERSION
+                and payload.get("truncation", 0) >= trunc):
+            return from_payload(payload).truncate(trunc)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        pass  # an entry that does not read as a form is a miss: recompute, overwrite
     f = _compute_form(name_or_text.strip(), poly, trunc)
     record = to_payload(f)
     record["schema"] = SCHEMA_VERSION

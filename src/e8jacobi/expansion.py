@@ -1,10 +1,12 @@
 """Truncated Fourier expansions of W(E8)-invariant Jacobi forms.
 
 A JacobiExpansion stores, for each q-order n < trunc, the coefficient as a
-W-invariant function of the elliptic variables — either as a map
-{dominant weight -> rational} (the public orbit-sum basis) or as a polynomial
-in the fundamental orbit sums u_1..u_8 (the internal multiplication basis).
-Both representations are materialized lazily and interconverted exactly.
+W-invariant function of the elliptic variables, in one or both of two bases:
+a polynomial in the fundamental orbit sums u_1..u_8 (the u-monomial basis,
+where the engine multiplies, divides and combines forms), or a map
+{dominant weight -> rational} (the public orbit-sum basis, for conditions
+that name an orbit and for display).  Each is materialized lazily from the
+other and interconverted exactly; `combine` sums many forms in one pass.
 """
 from __future__ import annotations
 
@@ -162,6 +164,18 @@ def add(f: JacobiExpansion, g: JacobiExpansion, cf=1, cg=1) -> JacobiExpansion:
                            holomorphic=f.holomorphic and g.holomorphic)
 
 
+def combine(coeffs, forms: list[JacobiExpansion]) -> JacobiExpansion:
+    """The linear combination sum c*f of like forms, in the u-monomial basis."""
+    terms = [(c, f) for c, f in zip(coeffs, forms) if c]
+    like = forms[0]
+    assert all((f.weight, f.index) == (like.weight, like.index) for _, f in terms), \
+        "can only add like forms"
+    trunc = min(f.trunc for f in forms)
+    out = [oa.lincomb((c, f.upolys[n]) for c, f in terms) for n in range(trunc)]
+    return JacobiExpansion(like.weight, like.index, trunc, upoly=out,
+                           holomorphic=all(f.holomorphic for _, f in terms))
+
+
 def sub(f: JacobiExpansion, g: JacobiExpansion) -> JacobiExpansion:
     return add(f, g, 1, -1)
 
@@ -185,6 +199,7 @@ def multiply(f: JacobiExpansion, g: JacobiExpansion) -> JacobiExpansion:
     """Product of two expansions; weights and indices add."""
     trunc = min(f.trunc, g.trunc)
     fu, gu = f.upolys, g.upolys
+    oa.check_product((k for p in fu[:trunc] for k in p), (k for p in gu[:trunc] for k in p))
     out: list[UPoly] = [{} for _ in range(trunc)]
     for n1 in range(trunc):
         a = fu[n1]
@@ -215,15 +230,7 @@ def mul_series(f: JacobiExpansion, s: QSeries, weight_shift: int | None = None) 
     """Multiply by an index-0 q-series (e.g. E4, E6, Delta powers)."""
     trunc = min(f.trunc, s.trunc)
     fu = f.upolys
-    out: list[UPoly] = [{} for _ in range(trunc)]
-    for n1 in range(trunc):
-        p = fu[n1]
-        if not p:
-            continue
-        for n2 in range(trunc - n1):
-            c = s.coeffs[n2]
-            if c:
-                oa.upoly_add_into(out[n1 + n2], p, c)
+    out = [oa.lincomb((s.coeffs[n - j], fu[j]) for j in range(n + 1)) for n in range(trunc)]
     if weight_shift is None:
         weight_shift = 0
     return JacobiExpansion(f.weight + weight_shift, f.index, trunc,
@@ -546,5 +553,7 @@ def from_payload(payload: dict) -> JacobiExpansion:
          for key, (num, den) in d.items()}
         for d in payload["coeffs"]
     ]
+    if len(orbit) != payload["truncation"]:
+        raise ValueError(f"payload has {len(orbit)} q-orders, truncation {payload['truncation']}")
     return JacobiExpansion(payload["weight"], payload["index"], payload["truncation"],
                            orbit=orbit, holomorphic=payload["holomorphic"])

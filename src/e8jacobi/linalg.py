@@ -116,7 +116,8 @@ def kernel_basis(matrix, ncols: int) -> list[tuple[int, ...]]:
         basis.append(_canonical(x))
     for vec in basis:  # exactness guard: every vector annihilates every input row
         for row in pristine:
-            assert sum(a * b for a, b in zip(row, vec)) == 0, "kernel verification failed"
+            if sum(a * b for a, b in zip(row, vec)):
+                raise ArithmeticError("kernel verification failed")
     return basis
 
 

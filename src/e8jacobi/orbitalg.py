@@ -3,18 +3,18 @@
 For a dominant weight x write orb(x) for the monomial symmetric sum over the
 orbit W·x (a Laurent polynomial in the eight z-variables).  The eight sums
 u_i := orb(w_i) over the fundamental-weight orbits generate the invariant ring,
-and every orb(x) is a Z-polynomial in them.  Working with coefficients expanded
-over the monomial basis u^l = prod u_i^{l_i} makes products free (exponents
-add), while the public orbit-sum basis is recovered through two exact integer
-tables:
+and every orb(x) is a Z-polynomial in them.  The engine computes in the
+monomial basis u^l = prod u_i^{l_i}, where products are free (exponents add),
+and reaches the public orbit-sum basis through two exact integer tables:
 
     mono_to_orbit(l):  u^l      = sum_y  N(l, y)  orb(y)
     orbit_to_mono(x):  orb(x)   = sum_l  c(x, l)  u^l
 
-Both are unitriangular with respect to the dominance order (u^l contains
-orb(l) with coefficient exactly 1 and otherwise only dominance-smaller
-orbits), so the reduction below, which always eliminates a monomial of
-maximal root-coordinate height, terminates and is exact.  N(l, y) is built by
+Both are unitriangular with respect to the dominance order: u^l contains
+orb(l) with coefficient exactly 1 and otherwise only dominance-smaller orbits.
+So orbit_to_mono is the recursive inverse of mono_to_orbit, and a
+u-polynomial converts to orbit sums as the direct sum
+sum_l p_l * mono_to_orbit(l) over its own monomials.  N(l, y) is built by
 repeated one-orbit convolution passes
 
     orb(x) * u_i = sum_y  M(x, i; y) orb(y),
@@ -28,11 +28,14 @@ sum_y N(l, y) |W y| = prod |W w_i|^{l_i} are checked on every computed row
 (ArithmeticError if either fails).
 
 u-polynomials are dicts keyed by packed exponents (base 32 per generator), so
-monomial multiplication is integer addition of keys.
+monomial multiplication is integer addition of keys.  `pack` and every
+product check that no exponent reaches 32, which would carry into the next
+generator (ArithmeticError).
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -50,7 +53,8 @@ from .lattice import (
     t_degree,
 )
 
-_PACK_BASE = 32
+_PACK_BITS = 5
+_PACK_BASE = 1 << _PACK_BITS
 _PACK_POW = tuple(_PACK_BASE ** i for i in range(RANK))
 KEY_ONE = 0
 
@@ -59,7 +63,8 @@ def pack(l) -> int:
     key = 0
     for i in range(RANK):
         e = l[i]
-        assert 0 <= e < _PACK_BASE, f"exponent {e} out of packing range"
+        if not 0 <= e < _PACK_BASE:
+            raise ArithmeticError(f"exponent {e} out of packing range")
         key += e * _PACK_POW[i]
     return key
 
@@ -70,6 +75,22 @@ def unpack(key: int) -> tuple[int, ...]:
         out.append(key % _PACK_BASE)
         key //= _PACK_BASE
     return tuple(out)
+
+
+def check_product(a_keys, b_keys) -> None:
+    """Raise unless every product of a key in `a_keys` and one in `b_keys` packs.
+
+    The per-generator maximum exponents of the two sides must sum below 32.
+    """
+    a_keys, b_keys = set(a_keys), set(b_keys)
+    if not a_keys or not b_keys:
+        return
+    for i in range(RANK):
+        shift = _PACK_BITS * i
+        top = (max((k >> shift) & (_PACK_BASE - 1) for k in a_keys)
+               + max((k >> shift) & (_PACK_BASE - 1) for k in b_keys))
+        if top >= _PACK_BASE:
+            raise ArithmeticError(f"product exponent {top} of u_{i + 1} out of packing range")
 
 
 _FUND_SIZES = tuple(orbit_size(tuple(int(i == j) for j in range(RANK))) for i in range(RANK))
@@ -180,56 +201,29 @@ def orbit_to_mono(x: tuple[int, ...]) -> dict[int, int]:
     return acc
 
 
+def lincomb(terms) -> dict:
+    """sum c * d over (coefficient, dict) pairs, summed as integers on one denominator."""
+    terms = [(Fraction(c), d) for c, d in terms if c]
+    den = lcm(*(c.denominator * v.denominator for c, d in terms for v in d.values()))
+    acc = {}
+    for c, d in terms:
+        num, scale = c.numerator, den // c.denominator
+        for k, v in d.items():
+            acc[k] = acc.get(k, 0) + num * v.numerator * (scale // v.denominator)
+    return {k: Fraction(v, den) for k, v in acc.items() if v}
+
+
 def orbit_dict_to_upoly(d: dict[tuple[int, ...], Fraction]) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for x, c in d.items():
-        if not c:
-            continue
-        for k, n in orbit_to_mono(tuple(x)).items():
-            v = out.get(k, 0) + c * n
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
-_HEIGHT_CACHE: dict[int, int] = {}
-
-
-def _key_height(key: int) -> int:
-    h = _HEIGHT_CACHE.get(key)
-    if h is None:
-        from .lattice import height
-
-        h = height(unpack(key))
-        _HEIGHT_CACHE[key] = h
-    return h
+    return lincomb((c, orbit_to_mono(tuple(x))) for x, c in d.items())
 
 
 def upoly_to_orbit_dict(p: dict[int, Fraction]) -> dict[tuple[int, ...], Fraction]:
-    """Invert orbit_dict_to_upoly by height-maximal triangular elimination."""
-    work = {k: Fraction(c) for k, c in p.items() if c}
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        top = max(work, key=lambda k: (_key_height(k), k))
-        c = work.pop(top)
-        if not c:
-            continue
-        x = unpack(top)
-        out[x] = c
-        for k, n in orbit_to_mono(x).items():
-            if k == top:
-                continue
-            v = work.get(k, 0) - c * n
-            if v:
-                work[k] = v
-            else:
-                work.pop(k, None)
-    return out
+    """Invert orbit_dict_to_upoly: sum_l p_l * mono_to_orbit(l)."""
+    return lincomb((c, mono_to_orbit(unpack(k))) for k, c in p.items())
 
 
 def upoly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
+    check_product(a, b)
     if len(a) > len(b):
         a, b = b, a
     out: dict[int, Fraction] = {}
@@ -283,19 +277,22 @@ def key_t_degree(key: int) -> int:
 _TABLE_ID = "orbit-pass-table"
 
 
+def _weight(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def load_tables() -> None:
+    """Merge the saved pass table; an unreadable or malformed one loads nothing."""
     payload = config.get_store().load(_TABLE_ID)
     if not payload:
         return
-    for xkey, entry in payload.items():
-        x = tuple(int(v) for v in xkey.split(","))
-        for istr, row in entry.items():
-            key = (x, int(istr))
-            if key in _mpass:
-                continue
-            _mpass[key] = {
-                tuple(int(v) for v in ykey.split(",")): int(n) for ykey, n in row.items()
-            }
+    try:
+        rows = {(_weight(xkey), int(istr)): {_weight(ykey): int(n) for ykey, n in row.items()}
+                for xkey, entry in payload.items() for istr, row in entry.items()}
+    except (AttributeError, TypeError, ValueError):
+        return
+    for key, row in rows.items():
+        _mpass.setdefault(key, row)
 
 
 def save_tables() -> None:

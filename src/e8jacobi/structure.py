@@ -22,8 +22,9 @@ from fractions import Fraction
 from random import Random
 
 from . import config, linalg
-from .expansion import (JacobiExpansion, _div_unit_series, add,
-                        div_delta, div_e4, scale, x_form, zero)
+from . import orbitalg as oa
+from .expansion import (JacobiExpansion, _div_unit_series, add, combine,
+                        div_delta, div_e4, x_form)
 from .genring import (GEN_ORDER, GeneratorPolynomial, P165, expand, monomials,
                       sakai_generators)
 from .lattice import (FUNDAMENTAL, ZERO, dominant_by_T, dominant_by_norm,
@@ -214,10 +215,6 @@ class WeakSpace:
     def dim(self) -> int:
         return len(self.kernel)
 
-    @property
-    def numerator_weight(self) -> int:
-        return self.weight + 12 * self.n_power + 4 * self.slots[-1].j
-
     def column_index(self) -> dict[tuple[int, tuple[int, ...]], int]:
         if self._colindex is None:
             self._colindex = {c: i for i, c in enumerate(self.columns)}
@@ -234,13 +231,7 @@ class WeakSpace:
     def numerator(self, vec) -> JacobiExpansion:
         assert self.column_expansions is not None, \
             "column expansions were released; rebuild the space"
-        out = None
-        for c, f in zip(vec, self.column_expansions):
-            if c:
-                out = scale(f, c) if out is None else add(out, f, 1, c)
-        if out is None:
-            out = zero(self.numerator_weight, self.index, self.trunc)
-        return out
+        return combine(vec, self.column_expansions)
 
     def form(self, vec) -> JacobiExpansion:
         """The weak expansion of a kernel-span vector (exact division)."""
@@ -264,7 +255,10 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
     """Basis of the weak forms of weight k and lattice index t.
 
     Builds the constraint system "numerator vanishes to q-order N" over the
-    admissible slot monomials and returns its kernel with certificates.
+    admissible slot monomials and returns its kernel with certificates.  The
+    rows are the u-monomial coefficients: at each q-order the change to the
+    orbit basis is invertible, so the row space, and with it the canonical
+    kernel, is the same in either basis.
     `N_override` substitutes a different vanishing order (used by the
     singular solver's reduced system); `shuffle` permutes the internal
     column/row order — the computed space is unchanged (property tests).
@@ -282,10 +276,9 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
     cols, forms = _column_forms(specs, trunc, gens)
     rows = []
     for n in range(N):
-        support = sorted({m for f in forms for m in f.coeffs[n]},
-                         key=_orbit_key)
-        for m in support:
-            rows.append([f.coeffs[n].get(m, Fraction(0)) for f in forms])
+        layer = [f.upolys[n] for f in forms]
+        for key in sorted({key for p in layer for key in p}):
+            rows.append([p.get(key, Fraction(0)) for p in layer])
     perm = None
     if shuffle is not None and cols:
         perm = list(range(len(cols)))
@@ -471,16 +464,17 @@ def module_generators(t: int, trunc: int | None = None,
         rank_img = linalg.rank(image, ncols) if image else 0
         if image:
             combined = [list(v) for v in space.kernel] + image
-            assert linalg.rank(combined, ncols) == space.dim, \
-                "Eisenstein image escaped the kernel span"
+            if linalg.rank(combined, ncols) != space.dim:
+                raise ArithmeticError("Eisenstein image escaped the kernel span")
         d_k = space.dim - rank_img
         counts[k] = d_k
         total += d_k
         if d_k:
             generators[k] = _select_generators(space, image, d_k)
         space.release()
-    assert total == expected, (
-        f"generator count {total} at index {t} does not match the rank {expected}")
+    if total != expected:
+        raise ArithmeticError(
+            f"generator count {total} at index {t} does not match the rank {expected}")
     assert k_min is not None
     return ModuleDescription(t, counts, generators, k_min,
                              {k: spaces[k].dim for k in weights})
@@ -488,12 +482,11 @@ def module_generators(t: int, trunc: int | None = None,
 
 def _select_generators(space: WeakSpace, image: list[list[Fraction]],
                        d_k: int) -> list[Generator]:
-    forms = space.basis_forms()
-    support = sorted({m for f in forms for m in f.coeffs[0]}, key=_orbit_key)
+    q0s = [oa.upoly_to_orbit_dict(f.upolys[0]) for f in space.basis_forms()]
+    support = sorted({m for d in q0s for m in d}, key=_orbit_key)
     rows = []
-    for f, vec in zip(forms, space.kernel):
-        q0 = [f.coeffs[0].get(m, Fraction(0)) for m in support]
-        rows.append(q0 + [Fraction(c) for c in vec])
+    for d, vec in zip(q0s, space.kernel):
+        rows.append([d.get(m, Fraction(0)) for m in support] + [Fraction(c) for c in vec])
     ncols = len(space.columns)
     candidates = [row[len(support):] for row in
                   linalg.rref(rows, len(support) + ncols)]
@@ -605,11 +598,7 @@ class SingularSpace:
         sol = linalg.solve(rows, rhs)
         if sol is None:
             return None
-        out = None
-        for c, b in zip(sol, self.basis):
-            if c:
-                out = scale(b, c) if out is None else add(out, b, 1, c)
-        assert out is not None
+        out = combine(sol, self.basis)
         return out, out.coeff(1, m)
 
 
@@ -644,29 +633,25 @@ def singular_solve(t: int, delta_power: int | None = None,
 
     rows = []
     for n in range(max(D + M, D + 1)):
-        support = sorted({m for h in quotients for m in h.coeffs[n]},
-                         key=_orbit_key)
-        for m in support:
-            # The principal part (n < D) must vanish entirely.  From the
-            # q^0-term on, only non-singular channels are pinned: the
-            # constant term and the norm-2(n-D)t orbits stay free.
-            if n == D and m == ZERO:
-                continue
-            if n > D and norm(m) == 2 * (n - D) * t:
-                continue
-            rows.append([h.coeffs[n].get(m, Fraction(0)) for h in quotients])
+        if n < D:
+            # The principal part must vanish entirely, in any basis.
+            layer = [h.upolys[n] for h in quotients]
+            support = sorted({k for p in layer for k in p})
+        else:
+            # From the q^0-term on, only non-singular channels are pinned:
+            # the norm-2(n-D)t orbits (the constant term at n = D) stay free.
+            layer = [oa.upoly_to_orbit_dict(h.upolys[n]) for h in quotients]
+            support = sorted({m for d in layer for m in d
+                              if norm(m) != 2 * (n - D) * t}, key=_orbit_key)
+        for key in support:
+            rows.append([d.get(key, Fraction(0)) for d in layer])
     kernel = linalg.kernel_basis(rows, len(cols)) if cols else []
 
     solutions = []
     for vec in kernel:
-        comb = None
-        for c, h in zip(vec, quotients):
-            if c:
-                comb = scale(h, c) if comb is None else add(comb, h, 1, c)
-        assert comb is not None
-        f = JacobiExpansion(4, t, comb.trunc - D, upoly=comb.upolys[D:],
-                            holomorphic=True)
-        solutions.append(f)
+        comb = combine(vec, quotients)
+        solutions.append(JacobiExpansion(4, t, comb.trunc - D, upoly=comb.upolys[D:],
+                                         holomorphic=True))
 
     order_cap = trunc - D
     x_t = x_form(t, order_cap)
@@ -692,24 +677,22 @@ def singular_solve(t: int, delta_power: int | None = None,
             continue
         lift = linalg.solve(lift_system, list(row))
         assert lift is not None
-        comb = None
-        for c, f in zip(lift, solutions):
-            if c:
-                comb = scale(f, c) if comb is None else add(comb, f, 1, c)
-        assert comb is not None
+        comb = combine(lift, solutions)
         c0 = comb.coeff(0, ZERO)
         if c0:
             comb = add(comb, x_t, 1, -c0)
         basis.append(comb)
         base_rows.append(coord_vec(comb))
-    assert len(basis) == dim
-    assert linalg.rank(base_rows, len(channels)) == dim
+    if len(basis) != dim:
+        raise ArithmeticError(f"singular basis at index {t} has {len(basis)} forms, rank {dim}")
+    if linalg.rank(base_rows, len(channels)) != dim:
+        raise ArithmeticError(f"singular basis at index {t} is not independent")
 
     for f in basis:
         for n in range(f.trunc):
             for m in f.coeffs[n]:
-                assert norm(m) == 2 * n * t, (
-                    f"non-singular support at q^{n}, orbit {m}")
+                if norm(m) != 2 * n * t:
+                    raise ArithmeticError(f"non-singular support at q^{n}, orbit {m}")
     return SingularSpace(t, dim, D, M, basis, channels)
 
 

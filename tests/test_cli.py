@@ -179,6 +179,20 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
     assert json.loads(entry.read_text())["form_id"] == "A1"
 
 
+@pytest.mark.parametrize("text", [
+    '{"schema": "1", "truncation": 9}',
+    '{"schema": "1", "truncation": 9, "weight": 4, "index": 1, "holomorphic": true, '
+    '"coeffs": []}'])
+def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, text):
+    # Entries without coeffs, or with fewer q-orders than their truncation.
+    entry = tmp_path / "1" / "A1.json"
+    entry.parent.mkdir()
+    entry.write_text(text)
+    code, out, _ = run(capsys, ["expand", "A1", "2", "--cache-dir", str(tmp_path)])
+    assert code == 0 and out.strip() == EXPAND_A1_2
+    assert json.loads(entry.read_text())["form_id"] == "A1"
+
+
 def test_truncated_monomial_entries_are_ignored(capsys, tmp_path, monkeypatch):
     # Monomial bodies of "A1^2 - A2*E4" at order 1, as an older engine stored
     # them on disk, truncated; they must never be read.

@@ -2,9 +2,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from e8jacobi import linalg
 from e8jacobi.linalg import kernel_basis, rank, rref, solve
 
 
@@ -65,6 +67,13 @@ def test_rref_matches_reference_and_is_canonical():
             c = Fraction(rng.randint(1, 4))
             scaled.append([x * c for x in row])
         assert rref(scaled, ncols) == got  # depends only on the row span
+
+
+def test_kernel_guard_rejects_wrong_elimination(monkeypatch):
+    # An elimination that finds no pivots claims every column is free.
+    monkeypatch.setattr(linalg, "_echelon", lambda rows, ncols: ([], []))
+    with pytest.raises(ArithmeticError, match="kernel verification failed"):
+        kernel_basis([[1, 2, 3], [0, 1, 1]], 3)
 
 
 def test_solve_consistent_and_inconsistent():

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from e8jacobi import config, orbitalg
+from e8jacobi.expansion import JacobiExpansion, multiply, x_form
+from e8jacobi.genring import sakai_generators
 from e8jacobi.lattice import (FUNDAMENTAL, RANK, ZERO, decode, dominant_batch,
-                              encode, fundamental_orbit, norm, orbit_size,
-                              to_dominant)
+                              dominant_by_norm, encode, fundamental_orbit,
+                              height, norm, orbit_size, to_dominant)
 from e8jacobi.orbitalg import (KEY_ONE, key_t_degree, mono_to_orbit,
                                orbit_dict_to_upoly, orbit_to_mono, pack,
                                save_tables, unpack, upoly_add_into,
@@ -39,6 +43,24 @@ def test_pack_unpack_roundtrip():
         expo = tuple(rng.randint(0, 7) for _ in range(RANK))
         assert unpack(pack(expo)) == expo
     assert pack(ZERO) == KEY_ONE
+
+
+def test_pack_rejects_exponents_out_of_range():
+    for bad in (32, -1):
+        with pytest.raises(ArithmeticError):
+            pack((0,) * 7 + (bad,))
+
+
+def test_product_overflow_raises():
+    # u8^16 * u8^16 would carry into a ninth, nonexistent generator slot.
+    a = {pack((0,) * 7 + (16,)): Fraction(1)}
+    assert upoly_mul(a, {pack((0,) * 7 + (15,)): Fraction(1)}) == {
+        pack((0,) * 7 + (31,)): Fraction(1)}
+    with pytest.raises(ArithmeticError):
+        upoly_mul(a, a)
+    f = JacobiExpansion(0, 32, 1, upoly=[a])
+    with pytest.raises(ArithmeticError):
+        multiply(f, f)
 
 
 def test_single_factors_are_orbits():
@@ -81,6 +103,47 @@ def test_upoly_roundtrip_and_eval():
     assert upoly_to_orbit_dict(p) == d
     total = sum(c * orbit_size(m) for m, c in d.items())
     assert upoly_eval_sizes(p) == total
+
+
+def height_elimination(p):
+    """The former conversion: eliminate a monomial of maximal height first."""
+    work = {k: Fraction(c) for k, c in p.items() if c}
+    out = {}
+    while work:
+        top = max(work, key=lambda k: (height(unpack(k)), k))
+        c = work.pop(top)
+        x = unpack(top)
+        out[x] = c
+        for k, n in orbit_to_mono(x).items():
+            if k == top:
+                continue
+            v = work.get(k, 0) - c * n
+            if v:
+                work[k] = v
+            else:
+                work.pop(k, None)
+    return out
+
+
+ORBIT_POOL = [ZERO] + [m for a in (1, 2, 3) for m in dominant_by_norm(a)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.dictionaries(hs.sampled_from(ORBIT_POOL),
+                       hs.fractions(min_value=-9, max_value=9, max_denominator=6),
+                       max_size=len(ORBIT_POOL)))
+def test_upoly_to_orbit_dict_inverts(d):
+    d = {m: c for m, c in d.items() if c}
+    assert upoly_to_orbit_dict(orbit_dict_to_upoly(d)) == d
+
+
+def test_conversion_matches_height_elimination():
+    gens = sakai_generators(4)
+    forms = [x_form(2, 4), multiply(gens["A1"], gens["B2"])]
+    forms += [gens[name] for name in ("A1", "A2", "B2", "B3", "B4")]
+    for f in forms:
+        for n, p in enumerate(f.upolys):
+            assert upoly_to_orbit_dict(p) == height_elimination(p) == f.coeffs[n]
 
 
 def test_upoly_mul_matches_brute():
@@ -140,6 +203,19 @@ def test_truncated_table_loads_nothing(tmp_path, monkeypatch):
     entry = tmp_path / "1" / "orbit-pass-table.json"
     entry.parent.mkdir()
     entry.write_text('{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1"')
+    with config.using(cache_dir=str(tmp_path)):
+        orbitalg.load_tables()
+    assert orbitalg._mpass == {}
+
+
+@pytest.mark.parametrize("text", ['{"0,0,0,0,0,0,0,0": [1]}',
+                                  '{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1": "x"}}}'])
+def test_wrong_shape_table_loads_nothing(tmp_path, monkeypatch, text):
+    # A pass table that is a JSON object of the wrong shape is a miss as well.
+    monkeypatch.setattr(orbitalg, "_mpass", {})
+    entry = tmp_path / "1" / "orbit-pass-table.json"
+    entry.parent.mkdir()
+    entry.write_text(text)
     with config.using(cache_dir=str(tmp_path)):
         orbitalg.load_tables()
     assert orbitalg._mpass == {}

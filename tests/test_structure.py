@@ -5,9 +5,11 @@ from random import Random
 import pytest
 
 import e8jacobi.structure as st
-from e8jacobi.expansion import div_delta, eval_zero
+from e8jacobi import linalg
+from e8jacobi.expansion import JacobiExpansion, div_delta, eval_zero, x_form
 from e8jacobi.genring import expand
-from e8jacobi.lattice import FUNDAMENTAL, ZERO, dominant_by_norm, orbit_size
+from e8jacobi.lattice import (FUNDAMENTAL, ZERO, dominant_by_norm, norm,
+                              orbit_size)
 from e8jacobi.linalg import rank
 
 W8 = FUNDAMENTAL[7]
@@ -87,6 +89,59 @@ def test_kernel_shuffle_stability(gens6):
         stacked = [list(v) for v in base.kernel] + \
                   [list(v) for v in shuffled.kernel]
         assert rank(stacked, len(base.columns)) == base.dim
+
+
+@pytest.mark.parametrize("k,t", [(-4, 2), (0, 2), (-8, 3), (0, 3), (-8, 4)])
+def test_weak_kernel_matches_orbit_basis_rows(gens6, k, t):
+    # The vanishing rows as built in the orbit basis give the same kernel.
+    space = st.weak_basis(k, t, trunc=st.n_cap(t) + 1, gens=gens6)
+    forms = space.column_expansions
+    rows = []
+    for n in range(space.n_power):
+        support = sorted({m for f in forms for m in f.coeffs[n]},
+                         key=lambda m: (norm(m), m))
+        rows += [[f.coeffs[n].get(m, Fraction(0)) for f in forms]
+                 for m in support]
+    assert space.dim
+    assert space.kernel == linalg.kernel_basis(rows, len(space.columns))
+
+
+def test_module_generator_checks_raise(gens6, monkeypatch):
+    def all_columns(space, below4, below6):
+        n = len(space.columns)
+        return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(st, "_image_vectors", all_columns)
+        with pytest.raises(ArithmeticError, match="escaped the kernel span"):
+            st.module_generators(2, trunc=4, gens=gens6)
+    real_rank_r = st.rank_r
+    monkeypatch.setattr(st, "rank_r", lambda t: [r + 1 for r in real_rank_r(t)])
+    with pytest.raises(ArithmeticError, match="does not match the rank"):
+        st.module_generators(2, trunc=4, gens=gens6)
+
+
+def test_singular_solve_checks_raise(gens6, monkeypatch):
+    # Index 4 has a two-dimensional singular space.
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "rref", lambda matrix, ncols: [])
+        with pytest.raises(ArithmeticError, match="has 1 forms, rank 2"):
+            st.singular_solve(4, gens=gens6)
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "solve", lambda matrix, rhs: [Fraction(0)] * len(matrix[0]))
+        with pytest.raises(ArithmeticError, match="not independent"):
+            st.singular_solve(4, gens=gens6)
+
+    def x_form_with_constant_at_q1(t, trunc):
+        f = x_form(t, trunc)
+        coeffs = [dict(d) for d in f.coeffs]
+        coeffs[1][ZERO] = Fraction(1)
+        return JacobiExpansion(f.weight, f.index, f.trunc, orbit=coeffs,
+                               holomorphic=True)
+
+    monkeypatch.setattr(st, "x_form", x_form_with_constant_at_q1)
+    with pytest.raises(ArithmeticError, match="non-singular support at q\\^1"):
+        st.singular_solve(4, gens=gens6)
 
 
 def test_holo_dim_two_routes(gens6):
