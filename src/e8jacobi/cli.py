@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -328,8 +329,7 @@ def _verify_lemma31(trunc: int):
 
 
 def _verify_p165_holo(trunc: int):
-    gens = sakai_generators(trunc)
-    f = expand_poly(NAMED_POLYNOMIALS["P165"], trunc, gens)
+    f = expand_poly(NAMED_POLYNOMIALS["P165"], trunc)
     lines = []
     try:
         quot = div_e4(f)
@@ -359,12 +359,11 @@ def _verify_p165_holo(trunc: int):
 
 
 def _verify_lemma34(trunc: int):
-    gens = sakai_generators(trunc)
     w = FUNDAMENTAL
     cases = [("P1", 1, w[0]), ("P2", 1, w[7]), ("P3", 1, w[6]), ("P4", 2, w[1])]
     lines = []
     for name, dpow, m in cases:
-        f = div_delta(expand_poly(NAMED_POLYNOMIALS[name], trunc, gens), dpow)
+        f = div_delta(expand_poly(NAMED_POLYNOMIALS[name], trunc), dpow)
         q0 = {x: c for x, c in f.coeffs[0].items() if c}
         if q0 != {tuple(m): Fraction(1)}:
             return False, [], (f"{name}/Delta^{dpow} has q^0-term "
@@ -377,22 +376,21 @@ def _verify_listed_generators(t: int, table: dict, trunc: int):
     """The frozen small-index generators span the canonical module choices."""
     n_pow = st.n_cap(t)
     trunc = max(trunc, n_pow + 1)
-    gens = sakai_generators(trunc)
-    mod = st.module_generators(t, trunc, gens=gens)
+    mod = st.module_generators(t, trunc)
     lines = []
     for k in sorted(table):
         poly, dpow = table[k]
         cert = poly
         for _ in range(n_pow - dpow):
             cert = cert * DELTA_POLY
-        space = st.weak_basis(k, t, trunc, gens=gens)
+        space = st.weak_basis(k, t, trunc)
         vec = st._cert_vector([cert], space)
         ncols = len(space.columns)
         if linalg.rank(list(space.kernel) + [vec], ncols) != space.dim:
             return False, [], f"index {t} weight {k}: listed form is not weak"
         image = st._image_vectors(space,
-                                  st.weak_basis(k - 4, t, trunc, gens=gens),
-                                  st.weak_basis(k - 6, t, trunc, gens=gens))
+                                  st.weak_basis(k - 4, t, trunc),
+                                  st.weak_basis(k - 6, t, trunc))
         rk_img = linalg.rank(image, ncols) if image else 0
         if linalg.rank(image + [vec], ncols) != rk_img + 1:
             return False, [], (f"index {t} weight {k}: listed form is a "
@@ -406,7 +404,7 @@ def _verify_listed_generators(t: int, table: dict, trunc: int):
         lines.append(f"index {t} weight {k}: listed generator confirmed")
     series = mod.series(6)
     for k in range(mod.min_weight, 7, 2):
-        dim = st.weak_basis(k, t, trunc, gens=gens).dim
+        dim = st.weak_basis(k, t, trunc).dim
         if dim != series.get(k, 0):
             return False, [], (f"index {t} weight {k}: direct dimension {dim} "
                                f"!= {series.get(k, 0)} from generator counts")
@@ -568,7 +566,9 @@ def cmd_series(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse makes a fresh namespace."""
     common = _Parser(add_help=False)
     common.add_argument("--order", type=int, default=None,
                         help="highest q-order to compute (default 5)")
@@ -631,9 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -8,7 +8,10 @@ index = sum(i * c_i) + sum(j * d_j).
 The module also constructs the named Fourier expansions: A-forms from the
 index-raising Hecke operators and the doubled theta, B-forms from level
 traces, and B4 pinned by a two-condition linear solve against the weight-18
-pivot identity (see pin_b4).
+pivot identity (see pin_b4).  It owns the one generator ring of the process:
+`sakai_generators` keeps the deepest set built so far and cuts every request
+from it, and `expand` reads monomial bodies cut from the deepest ones
+computed, so callers never choose between copies of the ring.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ from . import config, linalg
 from .expansion import (
     JacobiExpansion,
     add,
+    combine,
     eval_zero,
     from_qseries,
     hecke_v,
@@ -282,9 +286,12 @@ assert (P4.weight, P4.index) == (28, 3)
 
 # -- expansion machinery ------------------------------------------------------
 
-_gen_cache: dict[int, dict[str, JacobiExpansion]] = {}
-_pin_cache: dict[int, tuple[JacobiExpansion, Fraction, Fraction]] = {}
-_mono_cache: dict[tuple[Expo, int], JacobiExpansion] = {}
+#: The one generator ring of the process: the deepest set built so far.  Every
+#: request is cut from it, so truncated sets share its coefficient dicts,
+#: which nothing may mutate.
+_ring: dict[str, JacobiExpansion] = {}
+#: Expansions of A/B monomials by exponent, at the deepest order requested.
+_mono_cache: dict[Expo, JacobiExpansion] = {}
 
 _STRIP = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B6")
 
@@ -294,18 +301,19 @@ def sakai_generators(trunc: int | None = None) -> dict[str, JacobiExpansion]:
     if trunc is None:
         trunc = config.get_config().truncation
     assert trunc >= 1
-    if trunc in _gen_cache:
-        return dict(_gen_cache[trunc])
-    if trunc < 3:
-        # The B4 pinning system needs q^2 data; build there and cut down.
-        gens = {k: f.truncate(trunc) for k, f in sakai_generators(3).items()}
-        _gen_cache[trunc] = gens
-        return dict(gens)
-    gens = _partial_generators(trunc)
-    b4, _, _ = pin_b4(trunc)
-    gens["B4"] = b4
-    _gen_cache[trunc] = gens
-    return dict(gens)
+    return {name: f.truncate(trunc) for name, f in _deepest(trunc).items()}
+
+
+def _deepest(trunc: int) -> dict[str, JacobiExpansion]:
+    """The ring itself, rebuilt first at `trunc` (at least 3: the B4 pinning
+    reads q^2 data) if it is shallower.  Products read these forms, so each
+    generator converts to the u-monomial basis once, for every truncation."""
+    if not _ring or _ring["A1"].trunc < trunc:
+        gens = _partial_generators(max(trunc, 3))
+        gens["B4"] = pin_b4(gens)[0]
+        _ring.clear()
+        _ring.update(gens)
+    return _ring
 
 
 def _partial_generators(trunc: int) -> dict[str, JacobiExpansion]:
@@ -328,12 +336,11 @@ def _partial_generators(trunc: int) -> dict[str, JacobiExpansion]:
 
 
 def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion]) -> JacobiExpansion:
-    """Expansion of the monomial in A/B generators only (no E4/E6 part)."""
-    assert gens["A1"].trunc >= trunc, "generator set shorter than requested order"
-    key = (ab, trunc)
-    hit = _mono_cache.get(key)
-    if hit is not None:
-        return hit
+    """Expansion of the monomial in A/B generators only (no E4/E6 part), cut
+    from a cached body at least `trunc` deep or else built at `trunc`."""
+    hit = _mono_cache.get(ab)
+    if hit is not None and hit.trunc >= trunc:
+        return hit if hit.trunc == trunc else hit.truncate(trunc)
     if any(ab):
         name = next(n for n in _STRIP if ab[_GEN_POS[n] - 2])
         sub_ab = list(ab)
@@ -341,38 +348,37 @@ def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion]) -> Jac
         out = multiply(_ab_expansion(tuple(sub_ab), trunc, gens), gens[name])
     else:
         out = from_qseries(QSeries.constant(1, trunc), 0)
-    _mono_cache[key] = out
+    _mono_cache[ab] = out
     return out
 
 
-def expand(poly: GeneratorPolynomial, trunc: int | None = None,
-           gens: dict[str, JacobiExpansion] | None = None) -> JacobiExpansion:
+def expand(poly: GeneratorPolynomial, trunc: int | None = None) -> JacobiExpansion:
     """Fourier expansion of a bihomogeneous generator polynomial."""
     if trunc is None:
         trunc = config.get_config().truncation
-    if gens is None or gens["A1"].trunc < trunc:
-        gens = sakai_generators(trunc)
+    return _expand(poly, trunc, _deepest(trunc))
+
+
+def _expand(poly: GeneratorPolynomial, trunc: int,
+            gens: dict[str, JacobiExpansion]) -> JacobiExpansion:
+    """`expand` over `gens`, at least `trunc` deep: the ring, or the B4 pinning's
+    partial ring, whose monomial bodies are the same."""
+    assert gens["A1"].trunc >= trunc, "generator set shorter than requested order"
     assert poly.is_bihomogeneous(), "expand requires a bihomogeneous polynomial"
     if poly.is_zero():
         return zero(0, 0, trunc)
-    out: JacobiExpansion | None = None
+    by_eisenstein: dict[tuple[int, int], list] = {}
     for expo, coeff in sorted(poly.terms.items()):
-        ab = expo[2:]
-        body = _ab_expansion(ab, trunc, gens)
-        eseries = (eisenstein(4, trunc) ** expo[0]) * (eisenstein(6, trunc) ** expo[1])
-        term = mul_series(body, eseries.scale(coeff),
-                          weight_shift=4 * expo[0] + 6 * expo[1])
-        out = term if out is None else add(out, term)
+        by_eisenstein.setdefault(expo[:2], []).append(
+            (coeff, _ab_expansion(expo[2:], trunc, gens)))
+    parts = []
+    for (a, b), terms in by_eisenstein.items():
+        coeffs, bodies = zip(*terms)
+        eseries = (eisenstein(4, trunc) ** a) * (eisenstein(6, trunc) ** b)
+        parts.append(mul_series(combine(coeffs, bodies), eseries,
+                                weight_shift=4 * a + 6 * b))
+    out = combine([1] * len(parts), parts)
     assert out.weight == poly.weight and out.index == poly.index
-    return out
-
-
-def expand_or_zero(poly: GeneratorPolynomial, weight: int, index: int,
-                   trunc: int, gens=None) -> JacobiExpansion:
-    if poly.is_zero():
-        return zero(weight, index, trunc)
-    out = expand(poly, trunc, gens)
-    assert (out.weight, out.index) == (weight, index)
     return out
 
 
@@ -385,8 +391,8 @@ _B4_SLOT = _GEN_POS["B4"]
 def pivot_identity_residual(gens: dict[str, JacobiExpansion], trunc: int) -> JacobiExpansion:
     """E6*P165 + E4*Q185 - 179712*Delta*E4*B5HAT; zero iff the identity holds."""
     lhs = add(
-        mul_series(expand(P165, trunc, gens), eisenstein(6, trunc), weight_shift=6),
-        mul_series(expand(Q185, trunc, gens), eisenstein(4, trunc), weight_shift=4),
+        mul_series(_expand(P165, trunc, gens), eisenstein(6, trunc), weight_shift=6),
+        mul_series(_expand(Q185, trunc, gens), eisenstein(4, trunc), weight_shift=4),
     )
     rhs = mul_series(
         gens["B5HAT"].truncate(trunc),
@@ -396,11 +402,13 @@ def pivot_identity_residual(gens: dict[str, JacobiExpansion], trunc: int) -> Jac
     return sub(lhs, rhs)
 
 
-def pin_b4(trunc: int | None = None) -> tuple[JacobiExpansion, Fraction, Fraction]:
-    """Pin B4 = alpha * level_trace(4) + beta * V2(B2).
+def pin_b4(gens: dict[str, JacobiExpansion]) -> tuple[JacobiExpansion, Fraction, Fraction]:
+    """Pin B4 = alpha * level_trace(4) + beta * V2(B2) on a ring without B4.
 
+    `gens` holds every other generator, at truncation >= 3, as
+    `sakai_generators` builds them; B4 is pinned at the same truncation.
     Conditions: (i) restriction to z = 0 equals E6; since both candidates
-    restrict to multiples of E6 (asserted: the trace restricts to E6 and V2
+    restrict to multiples of E6 (checked: the trace restricts to E6 and V2
     scales the restriction by 1 + 2^5 = 33), this reads alpha + 33*beta = 1.
     (ii) one probe coefficient of the weight-18 pivot identity, using that
     the identity's B4-dependence collapses to 103680 * Delta * A1 * B4
@@ -408,18 +416,15 @@ def pin_b4(trunc: int | None = None) -> tuple[JacobiExpansion, Fraction, Fractio
     identity is then verified to the working truncation; failure of
     uniqueness or of the identity is a hard error.
     """
-    if trunc is None:
-        trunc = config.get_config().truncation
-    hit = _pin_cache.get(trunc)
-    if hit is not None:
-        return hit
-    gens = _partial_generators(trunc)
+    trunc = gens["A1"].trunc
     lt4 = level_trace(4, trunc)
     vb2 = hecke_v(level_trace(2, 2 * trunc - 1), 2)
     assert vb2.trunc >= trunc
     vb2 = vb2.truncate(trunc)
-    assert eval_zero(lt4) == eisenstein(6, trunc)
-    assert eval_zero(vb2) == eisenstein(6, trunc).scale(33)
+    if eval_zero(lt4) != eisenstein(6, trunc):
+        raise ArithmeticError("level_trace(4) does not restrict to E6 at z = 0")
+    if eval_zero(vb2) != eisenstein(6, trunc).scale(33):
+        raise ArithmeticError("V2(B2) does not restrict to 33*E6 at z = 0")
 
     probe_trunc = min(trunc, 3)
     p_nob4 = GeneratorPolynomial(
@@ -428,9 +433,9 @@ def pin_b4(trunc: int | None = None) -> tuple[JacobiExpansion, Fraction, Fractio
         {e: c for e, c in Q185.terms.items() if not e[_B4_SLOT]})
     k_form = sub(
         add(
-            mul_series(expand(p_nob4, probe_trunc, gens),
+            mul_series(_expand(p_nob4, probe_trunc, gens),
                        eisenstein(6, probe_trunc), weight_shift=6),
-            mul_series(expand(q_nob4, probe_trunc, gens),
+            mul_series(_expand(q_nob4, probe_trunc, gens),
                        eisenstein(4, probe_trunc), weight_shift=4),
         ),
         mul_series(
@@ -452,7 +457,8 @@ def pin_b4(trunc: int | None = None) -> tuple[JacobiExpansion, Fraction, Fractio
         for m in support:
             rows.append([d1.coeff(n, m), d2.coeff(n, m)])
             rhs.append(k_form.coeff(n, m))
-    assert linalg.rank(rows) == 2, "B4 pinning system is degenerate"
+    if linalg.rank(rows) != 2:
+        raise ArithmeticError("B4 pinning system is degenerate")
     solution = linalg.solve(rows, rhs)
     if solution is None:
         raise ArithmeticError("B4 pinning system is inconsistent")
@@ -464,21 +470,7 @@ def pin_b4(trunc: int | None = None) -> tuple[JacobiExpansion, Fraction, Fractio
     residual = pivot_identity_residual(gens_full, trunc)
     if not residual.is_zero():
         raise ArithmeticError("pivot identity fails for the pinned B4")
-    _pin_cache[trunc] = (b4, alpha, beta)
     return b4, alpha, beta
-
-
-def a5hat(trunc: int | None = None) -> JacobiExpansion:
-    """The weight-12 index-5 form P165/E4 - 21*E4^2*A5."""
-    if trunc is None:
-        trunc = config.get_config().truncation
-    gens = sakai_generators(trunc)
-    from .expansion import div_e4
-
-    head = div_e4(expand(P165, trunc, gens))
-    tail = mul_series(gens["A5"], (eisenstein(4, trunc) ** 2).scale(21),
-                      weight_shift=8)
-    return sub(head, tail)
 
 
 def reduction_obstruction_e4sq(trunc: int | None = None):

@@ -14,6 +14,8 @@ vanish to order N in q; that single linear condition system yields bases
 counting polynomial (`module_generators`, `gen_series`), dimensions of the
 holomorphic subspaces (`holo_dim`), the weight-4 singular spaces
 (`singular_solve`), and the numerical-evidence report (`conjecture_report`).
+Each function takes a truncation only: the columns are expanded by
+`genring.expand`, which serves every truncation from the one generator ring.
 """
 from __future__ import annotations
 
@@ -25,8 +27,7 @@ from . import config, linalg
 from . import orbitalg as oa
 from .expansion import (JacobiExpansion, _div_unit_series, add, combine,
                         div_delta, div_e4, x_form)
-from .genring import (GEN_ORDER, GeneratorPolynomial, P165, expand, monomials,
-                      sakai_generators)
+from .genring import GEN_ORDER, GeneratorPolynomial, P165, expand, monomials
 from .lattice import (FUNDAMENTAL, ZERO, dominant_by_T, dominant_by_norm,
                       max_norm_by_T, max_pairing, norm, orbit_size, shell)
 from .qseries import QSeries, discriminant, eisenstein
@@ -148,13 +149,6 @@ class SlotSpec:
     expos: tuple[tuple[int, ...], ...]   # admissible monomial exponents
 
 
-def _ensure_gens(gens, trunc: int):
-    """Supplied generator sets shorter than `trunc` are rebuilt, not read past."""
-    if gens is None or gens["A1"].trunc < trunc:
-        return sakai_generators(trunc)
-    return gens
-
-
 def _slot_specs(k: int, t: int, dpow: int) -> list[SlotSpec]:
     """Slot layout for weight k, index t over Delta^dpow * E4^t1."""
     top = t1(t)
@@ -168,7 +162,7 @@ def _slot_specs(k: int, t: int, dpow: int) -> list[SlotSpec]:
     return specs
 
 
-def _column_forms(specs: list[SlotSpec], trunc: int, gens) -> tuple[
+def _column_forms(specs: list[SlotSpec], trunc: int) -> tuple[
         list[tuple[int, tuple[int, ...]]], list[JacobiExpansion]]:
     """Numerator expansion of every admissible monomial, slot by slot.
 
@@ -188,7 +182,7 @@ def _column_forms(specs: list[SlotSpec], trunc: int, gens) -> tuple[
         factor = p165_pow[p] * e4_part
         for expo in s.expos:
             poly = GeneratorPolynomial.monomial(expo) * factor
-            forms.append(expand(poly, trunc, gens))
+            forms.append(expand(poly, trunc))
             cols.append((s.j, expo))
     return cols, forms
 
@@ -250,7 +244,6 @@ class WeakSpace:
 
 
 def weak_basis(k: int, t: int, trunc: int | None = None,
-               N_override: int | None = None, gens=None,
                shuffle: Random | None = None) -> WeakSpace:
     """Basis of the weak forms of weight k and lattice index t.
 
@@ -259,21 +252,19 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
     rows are the u-monomial coefficients: at each q-order the change to the
     orbit basis is invertible, so the row space, and with it the canonical
     kernel, is the same in either basis.
-    `N_override` substitutes a different vanishing order (used by the
-    singular solver's reduced system); `shuffle` permutes the internal
-    column/row order — the computed space is unchanged (property tests).
+    `shuffle` permutes the internal column/row order — the computed space is
+    unchanged (property tests).
     """
     assert t >= 1
     if trunc is None:
         trunc = config.get_config().truncation
-    N = n_cap(t) if N_override is None else N_override
+    N = n_cap(t)
     if trunc < N + 1:
         raise TruncationError(
             f"weak basis at index {t} needs series order >= {N + 1} "
             f"(numerator vanishing to q^{N}); configured {trunc}")
-    gens = _ensure_gens(gens, trunc)
     specs = _slot_specs(k, t, N)
-    cols, forms = _column_forms(specs, trunc, gens)
+    cols, forms = _column_forms(specs, trunc)
     rows = []
     for n in range(N):
         layer = [f.upolys[n] for f in forms]
@@ -298,7 +289,7 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
     return WeakSpace(k, t, N, trunc, specs, cols, list(kernel), forms)
 
 
-def min_weight(t: int, trunc: int | None = None, gens=None) -> int:
+def min_weight(t: int, trunc: int | None = None) -> int:
     """Minimal weight carrying a nonzero weak form of index t.
 
     Descends from weight 4 (never empty) and stops after two consecutive
@@ -310,7 +301,7 @@ def min_weight(t: int, trunc: int | None = None, gens=None) -> int:
     last = None
     consecutive = 0
     while True:
-        if weak_basis(k, t, trunc, gens=gens).dim:
+        if weak_basis(k, t, trunc).dim:
             last, consecutive = k, 0
         else:
             consecutive += 1
@@ -430,8 +421,7 @@ def _image_vectors(space: WeakSpace, below4: WeakSpace | None,
     return out
 
 
-def module_generators(t: int, trunc: int | None = None,
-                      gens=None) -> ModuleDescription:
+def module_generators(t: int, trunc: int | None = None) -> ModuleDescription:
     """All r(t) generators of the index-t module of weak forms.
 
     Scans weights upward from the prior lower bound; in each weight the
@@ -444,11 +434,10 @@ def module_generators(t: int, trunc: int | None = None,
     assert t >= 1
     if trunc is None:
         trunc = config.get_config().truncation
-    gens = _ensure_gens(gens, trunc)
 
     start = -5 * t - (5 * t) % 2
     weights = list(range(start, 4 + 1, 2))
-    spaces = {k: weak_basis(k, t, trunc, gens=gens) for k in weights}
+    spaces = {k: weak_basis(k, t, trunc) for k in weights}
 
     counts: dict[int, int] = {}
     generators: dict[int, list[Generator]] = {}
@@ -480,9 +469,17 @@ def module_generators(t: int, trunc: int | None = None,
                              {k: spaces[k].dim for k in weights})
 
 
+def _q0_terms(space: WeakSpace) -> list[dict]:
+    """q^0 orbit terms of the basis forms: since (Delta/q) and E4 have constant
+    term 1, they are the q^N terms of the numerators over Delta^N * E4^t1."""
+    n, cols = space.n_power, space.column_expansions
+    return [oa.upoly_to_orbit_dict(oa.lincomb((c, f.upolys[n]) for c, f in zip(vec, cols)))
+            for vec in space.kernel]
+
+
 def _select_generators(space: WeakSpace, image: list[list[Fraction]],
                        d_k: int) -> list[Generator]:
-    q0s = [oa.upoly_to_orbit_dict(f.upolys[0]) for f in space.basis_forms()]
+    q0s = _q0_terms(space)
     support = sorted({m for d in q0s for m in d}, key=_orbit_key)
     rows = []
     for d, vec in zip(q0s, space.kernel):
@@ -603,7 +600,7 @@ class SingularSpace:
 
 
 def singular_solve(t: int, delta_power: int | None = None,
-                   trunc: int | None = None, gens=None) -> SingularSpace:
+                   trunc: int | None = None) -> SingularSpace:
     """Solve for the weight-4 singular forms of index t.
 
     Ansatz: the weight-4 slot system over Delta^D * E4^t1 with the reduced
@@ -623,10 +620,9 @@ def singular_solve(t: int, delta_power: int | None = None,
         raise TruncationError(
             f"singular solve at index {t} needs series order >= {required}; "
             f"configured {trunc}")
-    gens = _ensure_gens(gens, trunc)
 
     specs = _slot_specs(4, t, D)
-    cols, forms = _column_forms(specs, trunc, gens)
+    cols, forms = _column_forms(specs, trunc)
     delta_over_q = QSeries(discriminant(trunc + 1).coeffs[1:])
     unit = (delta_over_q ** D) * (eisenstein(4, trunc) ** top)
     quotients = [_div_unit_series(f, unit) for f in forms]
@@ -676,7 +672,8 @@ def singular_solve(t: int, delta_power: int | None = None,
         if linalg.rank(base_rows + [list(row)], len(channels)) == len(base_rows):
             continue
         lift = linalg.solve(lift_system, list(row))
-        assert lift is not None
+        if lift is None:
+            raise ArithmeticError(f"singular basis row at index {t} has no lift")
         comb = combine(lift, solutions)
         c0 = comb.coeff(0, ZERO)
         if c0:

@@ -134,7 +134,7 @@ PHI11 = {
 
 @pytest.fixture(scope="session")
 def modules(gens6):
-    return {t: st.module_generators(t, trunc=trunc, gens=gens6)
+    return {t: st.module_generators(t, trunc=trunc)
             for t, trunc in ((1, 3), (2, 4), (3, 4), (4, 5))}
 
 
@@ -143,19 +143,19 @@ def singular(gens6):
     spaces = {}
     for t in range(1, 8):
         trunc = {6: 7, 7: 8}.get(t)
-        spaces[t] = st.singular_solve(t, trunc=trunc, gens=gens6)
+        spaces[t] = st.singular_solve(t, trunc=trunc)
     return spaces
 
 
 @pytest.fixture(scope="session")
 def modules_ext(gens6):
-    return {t: st.module_generators(t, trunc=6, gens=gens6)
+    return {t: st.module_generators(t, trunc=6)
             for t in (5, 6, 7)}
 
 
 @pytest.fixture(scope="session")
 def singular_ext(gens6):
-    return {t: st.singular_solve(t, delta_power=3, trunc=trunc, gens=gens6)
+    return {t: st.singular_solve(t, delta_power=3, trunc=trunc)
             for t, trunc in ((8, 7), (9, 8), (10, 9), (11, 9))}
 
 
@@ -284,7 +284,7 @@ def test_criterion_08_extended(gens6):
 
 def test_criterion_09(gens6):
     p165 = NAMED_POLYNOMIALS["P165"]
-    f = expand(p165, 5, gens6)
+    f = expand(p165, 5)
     quotient = div_e4(f)
     ok, witness = check_support(quotient)
     assert ok and witness is None
@@ -303,7 +303,7 @@ def test_criterion_10(gens6):
     leading = {"P1": (1, W[0]), "P2": (1, W[7]), "P3": (1, W[6]),
                "P4": (2, W[1])}
     for name, (dpow, m) in leading.items():
-        f = div_delta(expand(NAMED_POLYNOMIALS[name], 6, gens6), dpow)
+        f = div_delta(expand(NAMED_POLYNOMIALS[name], 6), dpow)
         assert f.coeffs[0] == {m: 1}
 
 
@@ -316,10 +316,10 @@ def test_criterion_11(gens6, capsys):
     assert cli.main(["verify", "eq44"]) == 0
     capsys.readouterr()
     for k in WEAK_INDEX2:
-        assert st.weak_basis(k, 2, trunc=4, gens=gens6).dim \
+        assert st.weak_basis(k, 2, trunc=4).dim \
             == DIM_SERIES[2][k]
     for k in WEAK_INDEX3:
-        assert st.weak_basis(k, 3, trunc=4, gens=gens6).dim \
+        assert st.weak_basis(k, 3, trunc=4).dim \
             == DIM_SERIES[3][k]
 
 
@@ -346,7 +346,7 @@ def test_criterion_12_extended(modules_ext):
 
 def test_criterion_13(gens6, singular):
     assert tuple(singular[t].dimension for t in range(1, 8)) == SINGULAR_DIMS
-    reduced = st.singular_solve(7, delta_power=2, trunc=7, gens=gens6)
+    reduced = st.singular_solve(7, delta_power=2, trunc=7)
     m1 = (0, 0, 0, 0, 0, 0, 1, 1)
     form, coeff = reduced.phi(m1)
     assert coeff == Fraction(240, orbit_size(m1)) == Fraction(1, 56)
@@ -383,7 +383,7 @@ def test_criterion_14(gens6):
     samples = ((6, 2, 4), (8, 2, 4), (10, 2, 4), (6, 3, 4), (8, 3, 4),
                (6, 4, 5))
     for k, t, trunc in samples:
-        space = st.weak_basis(k, t, trunc=trunc, gens=gens6)
+        space = st.weak_basis(k, t, trunc=trunc)
         direct = st.holo_dim_direct(space)
         assert space.dim - direct == st.delta_t(t)
         assert st.holo_dim(k, t, trunc=trunc) == direct
@@ -412,9 +412,9 @@ def test_criterion_15(gens6, tmp_path):
 
     # kernel canonicalization is stable under row shuffles
     from random import Random
-    base = st.weak_basis(0, 3, trunc=4, gens=gens6)
+    base = st.weak_basis(0, 3, trunc=4)
     for seed in (3, 11):
-        shuffled = st.weak_basis(0, 3, trunc=4, gens=gens6,
+        shuffled = st.weak_basis(0, 3, trunc=4,
                                  shuffle=Random(seed))
         assert shuffled.dim == base.dim
         stacked = [list(v) for v in base.kernel] + \

@@ -24,6 +24,15 @@ def test_expand_golden(capsys):
     assert out.strip() == EXPAND_A1_2
 
 
+def test_parser_reuse_leaks_no_flag(capsys):
+    # One process parses both calls with the same parser.
+    code, out, _ = run(capsys, ["expand", "A1", "2", "--format", "json"])
+    assert code == 0 and json.loads(out)["form"] == "A1"
+    code, out, _ = run(capsys, ["expand", "A1", "2"])
+    assert code == 0 and out.strip() == EXPAND_A1_2
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_expand_at_zero(capsys):
     code, out, _ = run(capsys, ["expand", "A1", "2", "--at-zero"])
     assert code == 0

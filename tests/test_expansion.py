@@ -93,7 +93,7 @@ def test_payload_roundtrip(gens6):
 def test_check_support_flags_weak_forms(gens6):
     from e8jacobi.genring import WEAK_INDEX2, expand
     poly, dpow = WEAK_INDEX2[-4]
-    weak = div_delta(expand(poly, 4, gens6), dpow)
+    weak = div_delta(expand(poly, 4), dpow)
     ok, witness = check_support(weak)
     assert not ok and witness[0] == 0 and norm(witness[1]) > 0
 

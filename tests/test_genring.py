@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from e8jacobi.expansion import (add, eval_zero, from_qseries, multiply,
+from e8jacobi import genring
+from e8jacobi.expansion import (add, eval_zero, from_qseries, multiply, scale,
                                 to_payload, zero)
 from e8jacobi.genring import (DELTA_POLY, GEN_INDEX, GEN_ORDER, GEN_WEIGHT,
-                              NAMED_POLYNOMIALS, PIVOT_SCALE, WEAK_INDEX2,
+                              NAMED_POLYNOMIALS, P4, PIVOT_SCALE, WEAK_INDEX2,
                               WEAK_INDEX3, GeneratorPolynomial, expand,
                               monomials, pin_b4, pivot_identity_residual,
                               sakai_generators)
@@ -74,12 +75,86 @@ def test_named_polynomial_bidegrees():
 
 
 def test_pin_b4_constants_and_q1(gens6):
-    _, alpha, beta = pin_b4(4)
+    partial = {k: f.truncate(4) for k, f in gens6.items() if k != "B4"}
+    _, alpha, beta = pin_b4(partial)
     assert (alpha, beta) == (Fraction(-17, 16), Fraction(1, 16))
     b4 = gens6["B4"]
     assert eval_zero(b4) == eisenstein(6, 6)
     assert b4.coeffs[1] == {ZERO: -8, W8: Fraction(-4, 15), W7: Fraction(-1, 15),
                             tuple(2 * c for c in W8): Fraction(1, 15)}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("trace", "level_trace\\(4\\) does not restrict to E6"),
+    ("hecke", "V2\\(B2\\) does not restrict to 33\\*E6"),
+    ("rank", "degenerate"),
+])
+def test_pinning_checks_raise(gens6, monkeypatch, fault, message):
+    partial = {k: f.truncate(3) for k, f in gens6.items() if k != "B4"}
+    real_trace, real_hecke = genring.level_trace, genring.hecke_v
+    if fault == "trace":
+        monkeypatch.setattr(genring, "level_trace",
+                            lambda t, trunc: scale(real_trace(t, trunc), 1 + (t == 4)))
+    elif fault == "hecke":
+        monkeypatch.setattr(genring, "hecke_v", lambda f, m: scale(real_hecke(f, m), 2))
+    else:
+        monkeypatch.setattr(genring.linalg, "rank", lambda rows, ncols=None: 1)
+    with pytest.raises(ArithmeticError, match=message):
+        pin_b4(partial)
+
+
+def test_shallow_ring_is_cut_from_the_deeper_one(engine_cache, monkeypatch):
+    builds = []
+    real = genring._partial_generators
+    monkeypatch.setattr(genring, "_partial_generators",
+                        lambda trunc: builds.append(trunc) or real(trunc))
+    monkeypatch.setattr(genring, "_ring", {})
+    monkeypatch.setattr(genring, "_mono_cache", {})
+    sakai_generators(5)
+    cut = sakai_generators(3)
+    assert builds == [5]
+    monkeypatch.setattr(genring, "_ring", {})
+    monkeypatch.setattr(genring, "_mono_cache", {})
+    fresh = sakai_generators(3)
+    assert builds == [5, 3]
+    assert cut.keys() == fresh.keys()
+    for name, f in fresh.items():
+        assert cut[name].trunc == f.trunc == 3 and cut[name] == f, name
+
+
+def test_monomial_bodies_are_cut_from_the_deepest(gens6, monkeypatch):
+    monkeypatch.setattr(genring, "_mono_cache", {})
+    poly = GeneratorPolynomial.from_text("A1^2*B2 - A2*B2*E4 + 3*A1*B3*E4")
+    shallow = expand(poly, 3)
+    assert {f.trunc for f in genring._mono_cache.values()} == {3}
+    expand(poly, 5)
+    bodies = dict(genring._mono_cache)
+    assert {f.trunc for f in bodies.values()} == {5}
+    assert expand(poly, 3) == shallow
+    assert genring._mono_cache.keys() == bodies.keys()
+    assert all(genring._mono_cache[ab] is f for ab, f in bodies.items())
+
+
+def _expand_term_by_term(poly, trunc):
+    gens = sakai_generators(trunc)
+    out = zero(poly.weight, poly.index, trunc)
+    for expo, c in poly.terms.items():
+        term = from_qseries(QSeries.constant(c, trunc), 0)
+        for name, e in zip(GEN_ORDER, expo):
+            for _ in range(e):
+                term = multiply(term, gens[name])
+        out = add(out, term)
+    return out
+
+
+def test_expand_matches_term_by_term_sum(gens6):
+    # The second polynomial has the Eisenstein parts E4^3 (two terms),
+    # E4^2*E6 and E6^3.
+    mixed = GeneratorPolynomial.from_text(
+        "A1*B3*E4^3 - 2*A2*B2*E4^3 + 3/2*A1*A3*E4^2*E6 + 5*A4*E6^3")
+    assert len({e[:2] for e in mixed.terms}) == 3
+    for poly in (P4, mixed):
+        assert expand(poly, 5) == _expand_term_by_term(poly, 5)
 
 
 def test_eval_zero_of_all_generators(gens6):
@@ -91,7 +166,7 @@ def test_eval_zero_of_all_generators(gens6):
 
 
 def test_delta_poly_expansion(gens6):
-    d = expand(DELTA_POLY, 6, gens6)
+    d = expand(DELTA_POLY, 6)
     assert d.index == 0 and d.weight == 12
     assert eval_zero(d) == discriminant(6)
 
@@ -99,10 +174,10 @@ def test_delta_poly_expansion(gens6):
 def test_expand_is_linear_and_multiplicative(gens6):
     p = GeneratorPolynomial.from_text("A1*B2")
     q = GeneratorPolynomial.from_text("A3*E6")
-    lhs = expand(p - q, 4, gens6)
-    rhs = add(expand(p, 4, gens6), expand(q, 4, gens6), 1, -1)
+    lhs = expand(p - q, 4)
+    rhs = add(expand(p, 4), expand(q, 4), 1, -1)
     assert lhs == rhs
-    assert expand(p, 4, gens6) == multiply(gens6["A1"].truncate(4),
+    assert expand(p, 4) == multiply(gens6["A1"].truncate(4),
                                            gens6["B2"].truncate(4))
 
 

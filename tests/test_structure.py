@@ -46,17 +46,17 @@ def test_pairing_values():
 def test_weak_dimensions_index2(gens6):
     expected = {-4: 1, -2: 1, 0: 2, 2: 2, 4: 3, 6: 3, 8: 4}
     for k, d in expected.items():
-        assert st.weak_basis(k, 2, trunc=3, gens=gens6).dim == d
+        assert st.weak_basis(k, 2, trunc=3).dim == d
 
 
 def test_min_weight(gens6):
-    assert st.min_weight(1, gens=gens6) == 4
-    assert st.min_weight(2, gens=gens6) == -4
-    assert st.min_weight(3, gens=gens6) == -8
+    assert st.min_weight(1) == 4
+    assert st.min_weight(2) == -4
+    assert st.min_weight(3) == -8
 
 
 def test_module_generators_index2(gens6):
-    mod = st.module_generators(2, trunc=4, gens=gens6)
+    mod = st.module_generators(2, trunc=4)
     assert mod.weight_poly() == {-4: 1, -2: 1, 0: 1}
     assert mod.rank == st.rank_r(2)[-1] == 3
     assert mod.min_weight == -4
@@ -69,20 +69,20 @@ def test_module_generators_index2(gens6):
 
 
 def test_generator_reconstruction_index2(gens6):
-    mod = st.module_generators(2, trunc=4, gens=gens6)
+    mod = st.module_generators(2, trunc=4)
     for k, gen_list in mod.generators.items():
         for gen in gen_list:
             assert gen.weight == k
             assert len(gen.certificate) == 1  # single slot below index 5
-            rebuilt = div_delta(expand(gen.certificate[0], 4, gens6),
+            rebuilt = div_delta(expand(gen.certificate[0], 4),
                                 st.n_cap(2))
             assert rebuilt == gen.form.truncate(rebuilt.trunc)
 
 
 def test_kernel_shuffle_stability(gens6):
-    base = st.weak_basis(0, 3, trunc=4, gens=gens6)
+    base = st.weak_basis(0, 3, trunc=4)
     for seed in (1, 7):
-        shuffled = st.weak_basis(0, 3, trunc=4, gens=gens6,
+        shuffled = st.weak_basis(0, 3, trunc=4,
                                  shuffle=Random(seed))
         assert shuffled.dim == base.dim
         assert shuffled.columns == base.columns
@@ -94,7 +94,7 @@ def test_kernel_shuffle_stability(gens6):
 @pytest.mark.parametrize("k,t", [(-4, 2), (0, 2), (-8, 3), (0, 3), (-8, 4)])
 def test_weak_kernel_matches_orbit_basis_rows(gens6, k, t):
     # The vanishing rows as built in the orbit basis give the same kernel.
-    space = st.weak_basis(k, t, trunc=st.n_cap(t) + 1, gens=gens6)
+    space = st.weak_basis(k, t, trunc=st.n_cap(t) + 1)
     forms = space.column_expansions
     rows = []
     for n in range(space.n_power):
@@ -114,11 +114,18 @@ def test_module_generator_checks_raise(gens6, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(st, "_image_vectors", all_columns)
         with pytest.raises(ArithmeticError, match="escaped the kernel span"):
-            st.module_generators(2, trunc=4, gens=gens6)
+            st.module_generators(2, trunc=4)
     real_rank_r = st.rank_r
     monkeypatch.setattr(st, "rank_r", lambda t: [r + 1 for r in real_rank_r(t)])
     with pytest.raises(ArithmeticError, match="does not match the rank"):
-        st.module_generators(2, trunc=4, gens=gens6)
+        st.module_generators(2, trunc=4)
+
+
+def test_q0_terms_match_basis_forms(gens6):
+    for k, t in ((-8, 3), (0, 3), (-8, 4)):
+        space = st.weak_basis(k, t, trunc=st.n_cap(t) + 1)
+        assert space.dim
+        assert st._q0_terms(space) == [f.coeffs[0] for f in space.basis_forms()]
 
 
 def test_singular_solve_checks_raise(gens6, monkeypatch):
@@ -126,11 +133,15 @@ def test_singular_solve_checks_raise(gens6, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "rref", lambda matrix, ncols: [])
         with pytest.raises(ArithmeticError, match="has 1 forms, rank 2"):
-            st.singular_solve(4, gens=gens6)
+            st.singular_solve(4)
     with monkeypatch.context() as mp:
         mp.setattr(linalg, "solve", lambda matrix, rhs: [Fraction(0)] * len(matrix[0]))
         with pytest.raises(ArithmeticError, match="not independent"):
-            st.singular_solve(4, gens=gens6)
+            st.singular_solve(4)
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "solve", lambda matrix, rhs: None)
+        with pytest.raises(ArithmeticError, match="has no lift"):
+            st.singular_solve(4)
 
     def x_form_with_constant_at_q1(t, trunc):
         f = x_form(t, trunc)
@@ -141,12 +152,12 @@ def test_singular_solve_checks_raise(gens6, monkeypatch):
 
     monkeypatch.setattr(st, "x_form", x_form_with_constant_at_q1)
     with pytest.raises(ArithmeticError, match="non-singular support at q\\^1"):
-        st.singular_solve(4, gens=gens6)
+        st.singular_solve(4)
 
 
 def test_holo_dim_two_routes(gens6):
     for k, t in ((6, 2), (8, 2), (6, 3)):
-        space = st.weak_basis(k, t, trunc=4, gens=gens6)
+        space = st.weak_basis(k, t, trunc=4)
         assert st.holo_dim(k, t, trunc=4) == st.holo_dim_direct(space)
     assert st.holo_dim(4, 2) == 1
     assert st.holo_dim(2, 5) == 0
@@ -157,7 +168,7 @@ def test_holo_dim_two_routes(gens6):
 def test_singular_spaces_small(gens6):
     expected_dim = {1: 1, 2: 1, 3: 1, 4: 2}
     for t, d in expected_dim.items():
-        space = st.singular_solve(t, gens=gens6)
+        space = st.singular_solve(t)
         assert space.dimension == d
         assert len(space.basis) == d
         for m in dominant_by_norm(t):
@@ -171,7 +182,7 @@ def test_singular_spaces_small(gens6):
 
 
 def test_singular_theta_member(gens6):
-    space = st.singular_solve(1, gens=gens6)
+    space = st.singular_solve(1)
     form, coeff = space.phi(W8)
     assert coeff == 1
     assert form.coeff(1, W8) == 1
@@ -180,9 +191,9 @@ def test_singular_theta_member(gens6):
 
 def test_truncation_errors(gens6):
     with pytest.raises(st.TruncationError):
-        st.weak_basis(4, 2, trunc=1, gens=gens6)
+        st.weak_basis(4, 2, trunc=1)
     with pytest.raises(st.TruncationError):
-        st.singular_solve(2, trunc=1, gens=gens6)
+        st.singular_solve(2, trunc=1)
 
 
 def test_stable_counts_shape():
