@@ -86,18 +86,24 @@ def _fmt(args) -> str:
     return args.format or config.get_config().fmt
 
 
-def _emit(args, *, text: str, data: dict, rows=None, header=None) -> None:
+def _emit(args, *, text, data, rows=None, header=None) -> None:
+    """Print `data` as JSON, `rows` as CSV or `text`, as the format asks.  Each
+    may be a function of no arguments, so only the printed rendering is built."""
     fmt = _fmt(args)
     if fmt == "json":
-        print(json.dumps(data, sort_keys=True, default=str))
+        print(json.dumps(_built(data), sort_keys=True, default=str))
     elif fmt == "csv":
         writer = csv.writer(sys.stdout)
         if header:
             writer.writerow(header)
-        for row in rows or []:
+        for row in _built(rows) or []:
             writer.writerow(row)
     else:
-        print(text)
+        print(_built(text))
+
+
+def _built(rendering):
+    return rendering() if callable(rendering) else rendering
 
 
 def _expansion_str(f: JacobiExpansion) -> str:
@@ -301,10 +307,9 @@ def cmd_expand(args) -> int:
         rows = [(n, str(c)) for n, c in enumerate(s.coeffs)]
         _emit(args, text=text, data=data, rows=rows, header=("order", "value"))
         return EXIT_OK
-    data = to_payload(f)
-    data["form"] = args.form
-    _emit(args, text=_expansion_str(f), data=data,
-          rows=list(_expansion_rows(f)), header=("order", "orbit", "value"))
+    _emit(args, text=lambda: _expansion_str(f),
+          data=lambda: {**to_payload(f), "form": args.form},
+          rows=lambda: _expansion_rows(f), header=("order", "orbit", "value"))
     return EXIT_OK
 
 

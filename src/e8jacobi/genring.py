@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from . import config, linalg
 from .expansion import (
@@ -291,6 +292,8 @@ assert (P4.weight, P4.index) == (28, 3)
 #: which nothing may mutate.
 _ring: dict[str, JacobiExpansion] = {}
 #: Expansions of A/B monomials by exponent, at the deepest order requested.
+#: Only the ring and the ring `_deepest` is building read or fill it: a body
+#: is keyed by exponent alone, so any other ring gets bodies of its own.
 _mono_cache: dict[Expo, JacobiExpansion] = {}
 
 _STRIP = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B6")
@@ -310,7 +313,7 @@ def _deepest(trunc: int) -> dict[str, JacobiExpansion]:
     generator converts to the u-monomial basis once, for every truncation."""
     if not _ring or _ring["A1"].trunc < trunc:
         gens = _partial_generators(max(trunc, 3))
-        gens["B4"] = pin_b4(gens)[0]
+        gens["B4"] = pin_b4(gens, _mono_cache)[0]
         _ring.clear()
         _ring.update(gens)
     return _ring
@@ -335,50 +338,61 @@ def _partial_generators(trunc: int) -> dict[str, JacobiExpansion]:
     return gens
 
 
-def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion]) -> JacobiExpansion:
+def _ab_expansion(ab: Expo, trunc: int, gens: dict[str, JacobiExpansion],
+                  bodies: dict[Expo, JacobiExpansion]) -> JacobiExpansion:
     """Expansion of the monomial in A/B generators only (no E4/E6 part), cut
-    from a cached body at least `trunc` deep or else built at `trunc`."""
-    hit = _mono_cache.get(ab)
+    from a body of `bodies` at least `trunc` deep or else built at `trunc`."""
+    hit = bodies.get(ab)
     if hit is not None and hit.trunc >= trunc:
         return hit if hit.trunc == trunc else hit.truncate(trunc)
     if any(ab):
         name = next(n for n in _STRIP if ab[_GEN_POS[n] - 2])
         sub_ab = list(ab)
         sub_ab[_GEN_POS[name] - 2] -= 1
-        out = multiply(_ab_expansion(tuple(sub_ab), trunc, gens), gens[name])
+        out = multiply(_ab_expansion(tuple(sub_ab), trunc, gens, bodies), gens[name])
     else:
         out = from_qseries(QSeries.constant(1, trunc), 0)
-    _mono_cache[ab] = out
+    bodies[ab] = out
     return out
+
+
+@lru_cache(maxsize=None)
+def _eisenstein_power(a: int, b: int, trunc: int) -> QSeries:
+    """E4^a * E6^b to `trunc` orders (shared: nothing may mutate it)."""
+    return (eisenstein(4, trunc) ** a) * (eisenstein(6, trunc) ** b)
 
 
 def expand(poly: GeneratorPolynomial, trunc: int | None = None) -> JacobiExpansion:
     """Fourier expansion of a bihomogeneous generator polynomial."""
     if trunc is None:
         trunc = config.get_config().truncation
-    return _expand(poly, trunc, _deepest(trunc))
+    return _expand(poly, trunc, _deepest(trunc), _mono_cache)
 
 
-def _expand(poly: GeneratorPolynomial, trunc: int,
-            gens: dict[str, JacobiExpansion]) -> JacobiExpansion:
-    """`expand` over `gens`, at least `trunc` deep: the ring, or the B4 pinning's
-    partial ring, whose monomial bodies are the same."""
-    assert gens["A1"].trunc >= trunc, "generator set shorter than requested order"
-    assert poly.is_bihomogeneous(), "expand requires a bihomogeneous polynomial"
+def _expand(poly: GeneratorPolynomial, trunc: int, gens: dict[str, JacobiExpansion],
+            bodies: dict[Expo, JacobiExpansion]) -> JacobiExpansion:
+    """`expand` over `gens`, at least `trunc` deep, reading and filling the
+    monomial bodies `bodies` of that ring."""
+    if gens["A1"].trunc < trunc:
+        raise ArithmeticError(f"generator set of truncation {gens['A1'].trunc} "
+                              f"is shorter than the requested {trunc}")
+    if not poly.is_bihomogeneous():
+        raise ValueError(f"expand requires a bihomogeneous polynomial, not {poly}")
     if poly.is_zero():
         return zero(0, 0, trunc)
     by_eisenstein: dict[tuple[int, int], list] = {}
     for expo, coeff in sorted(poly.terms.items()):
         by_eisenstein.setdefault(expo[:2], []).append(
-            (coeff, _ab_expansion(expo[2:], trunc, gens)))
+            (coeff, _ab_expansion(expo[2:], trunc, gens, bodies)))
     parts = []
     for (a, b), terms in by_eisenstein.items():
-        coeffs, bodies = zip(*terms)
-        eseries = (eisenstein(4, trunc) ** a) * (eisenstein(6, trunc) ** b)
-        parts.append(mul_series(combine(coeffs, bodies), eseries,
+        coeffs, forms = zip(*terms)
+        parts.append(mul_series(combine(coeffs, forms), _eisenstein_power(a, b, trunc),
                                 weight_shift=4 * a + 6 * b))
     out = combine([1] * len(parts), parts)
-    assert out.weight == poly.weight and out.index == poly.index
+    if (out.weight, out.index) != (poly.weight, poly.index):
+        raise ArithmeticError(f"expansion of bidegree {(out.weight, out.index)} "
+                              f"for a polynomial of {(poly.weight, poly.index)}")
     return out
 
 
@@ -386,13 +400,26 @@ def _expand(poly: GeneratorPolynomial, trunc: int,
 
 PIVOT_SCALE = 179712
 _B4_SLOT = _GEN_POS["B4"]
+#: The generators that the monomial bodies of P165 and Q185 multiply.
+_PIVOT_GENS = tuple(n for n in _STRIP
+                    if any(e[_GEN_POS[n]] for p in (P165, Q185) for e in p.terms))
 
 
 def pivot_identity_residual(gens: dict[str, JacobiExpansion], trunc: int) -> JacobiExpansion:
-    """E6*P165 + E4*Q185 - 179712*Delta*E4*B5HAT; zero iff the identity holds."""
+    """E6*P165 + E4*Q185 - 179712*Delta*E4*B5HAT; zero iff the identity holds.
+
+    `gens` shares the process ring's monomial bodies only if each generator
+    they multiply equals the ring's; any other ring is expanded afresh."""
+    same = bool(_ring) and all(
+        gens[n].upolys == _ring[n].upolys[:gens[n].trunc] for n in _PIVOT_GENS)
+    return _residual(gens, trunc, _mono_cache if same else {})
+
+
+def _residual(gens: dict[str, JacobiExpansion], trunc: int,
+              bodies: dict[Expo, JacobiExpansion]) -> JacobiExpansion:
     lhs = add(
-        mul_series(_expand(P165, trunc, gens), eisenstein(6, trunc), weight_shift=6),
-        mul_series(_expand(Q185, trunc, gens), eisenstein(4, trunc), weight_shift=4),
+        mul_series(_expand(P165, trunc, gens, bodies), eisenstein(6, trunc), weight_shift=6),
+        mul_series(_expand(Q185, trunc, gens, bodies), eisenstein(4, trunc), weight_shift=4),
     )
     rhs = mul_series(
         gens["B5HAT"].truncate(trunc),
@@ -402,11 +429,14 @@ def pivot_identity_residual(gens: dict[str, JacobiExpansion], trunc: int) -> Jac
     return sub(lhs, rhs)
 
 
-def pin_b4(gens: dict[str, JacobiExpansion]) -> tuple[JacobiExpansion, Fraction, Fraction]:
+def pin_b4(gens: dict[str, JacobiExpansion], bodies: dict[Expo, JacobiExpansion] | None = None,
+           ) -> tuple[JacobiExpansion, Fraction, Fraction]:
     """Pin B4 = alpha * level_trace(4) + beta * V2(B2) on a ring without B4.
 
     `gens` holds every other generator, at truncation >= 3, as
     `sakai_generators` builds them; B4 is pinned at the same truncation.
+    `bodies` holds the monomial bodies of this ring (`_deepest` passes the
+    process cache for the ring it builds; by default they are fresh).
     Conditions: (i) restriction to z = 0 equals E6; since both candidates
     restrict to multiples of E6 (checked: the trace restricts to E6 and V2
     scales the restriction by 1 + 2^5 = 33), this reads alpha + 33*beta = 1.
@@ -416,10 +446,13 @@ def pin_b4(gens: dict[str, JacobiExpansion]) -> tuple[JacobiExpansion, Fraction,
     identity is then verified to the working truncation; failure of
     uniqueness or of the identity is a hard error.
     """
+    if bodies is None:
+        bodies = {}
     trunc = gens["A1"].trunc
     lt4 = level_trace(4, trunc)
     vb2 = hecke_v(level_trace(2, 2 * trunc - 1), 2)
-    assert vb2.trunc >= trunc
+    if vb2.trunc < trunc:
+        raise ArithmeticError(f"V2(B2) reaches truncation {vb2.trunc}, not {trunc}")
     vb2 = vb2.truncate(trunc)
     if eval_zero(lt4) != eisenstein(6, trunc):
         raise ArithmeticError("level_trace(4) does not restrict to E6 at z = 0")
@@ -433,9 +466,9 @@ def pin_b4(gens: dict[str, JacobiExpansion]) -> tuple[JacobiExpansion, Fraction,
         {e: c for e, c in Q185.terms.items() if not e[_B4_SLOT]})
     k_form = sub(
         add(
-            mul_series(_expand(p_nob4, probe_trunc, gens),
+            mul_series(_expand(p_nob4, probe_trunc, gens, bodies),
                        eisenstein(6, probe_trunc), weight_shift=6),
-            mul_series(_expand(q_nob4, probe_trunc, gens),
+            mul_series(_expand(q_nob4, probe_trunc, gens, bodies),
                        eisenstein(4, probe_trunc), weight_shift=4),
         ),
         mul_series(
@@ -467,7 +500,7 @@ def pin_b4(gens: dict[str, JacobiExpansion]) -> tuple[JacobiExpansion, Fraction,
 
     gens_full = dict(gens)
     gens_full["B4"] = b4
-    residual = pivot_identity_residual(gens_full, trunc)
+    residual = _residual(gens_full, trunc, bodies)
     if not residual.is_zero():
         raise ArithmeticError("pivot identity fails for the pinned B4")
     return b4, alpha, beta

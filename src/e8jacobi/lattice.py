@@ -78,8 +78,9 @@ def inner_product(m1, m2) -> int:
     return sum(m1[i] * sm[i] for i in range(RANK))
 
 
-def norm(m) -> int:
-    """Squared length (m, m); always an even integer."""
+@lru_cache(maxsize=None)
+def norm(m: tuple[int, ...]) -> int:
+    """Squared length (m, m) of a weight tuple; always an even integer."""
     return inner_product(m, m)
 
 

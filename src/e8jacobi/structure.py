@@ -499,7 +499,9 @@ def _select_generators(space: WeakSpace, image: list[list[Fraction]],
             span, current = trial, r
             selected.append(Generator(space.weight, space.certificate(cand),
                                       space.form(cand)))
-    assert len(selected) == d_k, "generator selection missed the target count"
+    if len(selected) != d_k:
+        raise ArithmeticError(f"generator selection found {len(selected)} of "
+                              f"{d_k} generators in weight {space.weight}")
     return selected
 
 
@@ -651,7 +653,8 @@ def singular_solve(t: int, delta_power: int | None = None,
 
     order_cap = trunc - D
     x_t = x_form(t, order_cap)
-    assert x_t.coeff(0, ZERO) == 1
+    if x_t.coeff(0, ZERO) != 1:
+        raise ArithmeticError(f"x_form({t}) has constant term {x_t.coeff(0, ZERO)}, not 1")
 
     channels = [(0, ZERO)] + [(n, m) for n in range(1, max(M, 2))
                               for m in dominant_by_norm(n * t)]

@@ -47,6 +47,28 @@ def test_expand_json(capsys):
     assert data["coeffs"][0] == {"0,0,0,0,0,0,0,0": ["1", "1"]}
 
 
+EXPAND_GOLDENS = {
+    "text": "-1/2 + q*(780 + -3/5*O_{1,240}^{[00000001]} + -1/15*O_{2,2160}^{[10000000]}"
+            " + -3/56*O_{3,6720}^{[00000010]})\n",
+    "json": '{"coeffs": [{"0,0,0,0,0,0,0,0": ["-1", "2"]}, {"0,0,0,0,0,0,0,0": ["780", "1"],'
+            ' "0,0,0,0,0,0,0,1": ["-3", "5"], "0,0,0,0,0,0,1,0": ["-3", "56"],'
+            ' "1,0,0,0,0,0,0,0": ["-1", "15"]}], "form": "A1*B2 - 3/2*A3*E6",'
+            ' "holomorphic": true, "index": 3, "truncation": 2, "weight": 10}\n',
+    "csv": "order,orbit,value\r\n0,00000000,-1/2\r\n1,00000000,780\r\n1,00000001,-3/5\r\n"
+           "1,10000000,-1/15\r\n1,00000010,-3/56\r\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPAND_GOLDENS))
+def test_expand_formats_golden(capsys, tmp_path, fmt):
+    # Computed, then read back from the cache entry the first call wrote.
+    argv = ["expand", "--order", "1", "--format", fmt, "--cache-dir", str(tmp_path),
+            "--", "A1*B2 - 3/2*A3*E6"]
+    for _ in range(2):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == EXPAND_GOLDENS[fmt]
+
+
 def test_generators_golden(capsys):
     code, out, _ = run(capsys, ["generators", "2"])
     assert code == 0

@@ -135,6 +135,53 @@ def test_monomial_bodies_are_cut_from_the_deepest(gens6, monkeypatch):
     assert all(genring._mono_cache[ab] is f for ab, f in bodies.items())
 
 
+def test_pinning_depth_check_raises(gens6, monkeypatch):
+    partial = {k: f.truncate(3) for k, f in gens6.items() if k != "B4"}
+    real_hecke = genring.hecke_v
+    monkeypatch.setattr(genring, "hecke_v", lambda f, m: real_hecke(f, m).truncate(2))
+    with pytest.raises(ArithmeticError, match="reaches truncation 2, not 3"):
+        pin_b4(partial)
+
+
+def test_expand_checks_raise(gens6, monkeypatch):
+    poly = GeneratorPolynomial.from_text("A1*B2 - A3*E6")
+    with pytest.raises(ArithmeticError, match="shorter than the requested 5"):
+        genring._expand(poly, 5, sakai_generators(3), {})
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        expand(GeneratorPolynomial.from_text("A1 + A2"), 3)
+    monkeypatch.setattr(genring, "combine",
+                        lambda coeffs, forms: zero(2, 0, forms[0].trunc))
+    with pytest.raises(ArithmeticError, match="bidegree"):
+        expand(poly, 3)
+
+
+@pytest.mark.parametrize("warm", [True, False])
+def test_residual_of_a_foreign_ring_uses_its_own_bodies(gens6, monkeypatch, warm):
+    # A copy of the ring with B4 doubled breaks the pivot identity.
+    ring = sakai_generators(3)
+    if warm:
+        assert pivot_identity_residual(ring, 3).is_zero()
+    else:
+        monkeypatch.setattr(genring, "_mono_cache", {})
+    bodies = dict(genring._mono_cache)
+    doubled = dict(ring, B4=scale(ring["B4"], 2))
+    assert not pivot_identity_residual(doubled, 3).is_zero()
+    assert genring._mono_cache.keys() == bodies.keys()
+    assert all(genring._mono_cache[ab] is f for ab, f in bodies.items())
+
+
+def test_eisenstein_products_are_built_once(gens6, monkeypatch):
+    genring._eisenstein_power.cache_clear()
+    powers = []
+    real_pow = QSeries.__pow__
+    monkeypatch.setattr(QSeries, "__pow__", lambda s, e: powers.append(e) or real_pow(s, e))
+    poly = GeneratorPolynomial.from_text("A1*B3*E4^3 - 2*A2*B2*E4^3 + 5*A4*E6^3")
+    first = expand(poly, 4)
+    assert powers
+    calls = len(powers)
+    assert expand(poly, 4) == first and len(powers) == calls
+
+
 def _expand_term_by_term(poly, trunc):
     gens = sakai_generators(trunc)
     out = zero(poly.weight, poly.index, trunc)

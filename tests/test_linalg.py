@@ -1,6 +1,7 @@
 """Exact linear algebra against a plain Fraction Gauss reference."""
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,48 @@ def ref_rref(matrix, ncols):
         r += 1
         lead += 1
     return [tuple(row) for row in rows[:r]]
+
+
+def ref_kernel(matrix, ncols):
+    """Canonical kernel read off the reference RREF: one integer vector per
+    free column, content 1, first nonzero entry positive."""
+    red = ref_rref(matrix, ncols)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in red]
+    out = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(red, pivots):
+            x[c] = -row[f]
+        den = lcm(*(v.denominator for v in x))
+        ints = [int(v * den) for v in x]
+        g = gcd(*ints)
+        ints = [v // g for v in ints]
+        if next(v for v in ints if v) < 0:
+            ints = [-v for v in ints]
+        out.append(tuple(ints))
+    return out
+
+
+def assert_matches_reference(matrix, ncols, rng):
+    """rref and kernel_basis equal the reference, also on shuffled, rescaled rows."""
+    red, ker = ref_rref(matrix, ncols), ref_kernel(matrix, ncols)
+    assert rref(matrix, ncols) == red
+    assert kernel_basis(matrix, ncols) == ker
+    moved = []
+    for row in matrix:
+        c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 7))
+        moved.append([Fraction(x) * c for x in row])
+    rng.shuffle(moved)
+    assert rref(moved, ncols) == red
+    assert kernel_basis(moved, ncols) == ker
+
+
+def low_rank(rng, nrows, ncols, r, size):
+    """An nrows x ncols integer matrix of rank <= r, entries up to r * size**2."""
+    left = [[rng.randint(-size, size) for _ in range(r)] for _ in range(nrows)]
+    right = [[rng.randint(-size, size) for _ in range(ncols)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
 
 
 def random_matrix(rng, nrows, ncols, density=0.8):
@@ -71,9 +114,74 @@ def test_rref_matches_reference_and_is_canonical():
 
 def test_kernel_guard_rejects_wrong_elimination(monkeypatch):
     # An elimination that finds no pivots claims every column is free.
-    monkeypatch.setattr(linalg, "_echelon", lambda rows, ncols: ([], []))
+    monkeypatch.setattr(linalg, "_rref_mod", lambda a, p: (a[:0], []))
     with pytest.raises(ArithmeticError, match="kernel verification failed"):
         kernel_basis([[1, 2, 3], [0, 1, 1]], 3)
+
+
+def test_certificate_rejects_wrong_reconstruction(monkeypatch):
+    # Every reconstructed entry is 1: the kernel vectors read off are wrong.
+    monkeypatch.setattr(linalg, "_reconstruct", lambda u, m: Fraction(1))
+    with pytest.raises(ArithmeticError, match="kernel verification failed"):
+        kernel_basis([[1, 2, 3], [0, 1, 2]], 3)
+    with pytest.raises(ArithmeticError, match="kernel verification failed"):
+        rref([[1, 2, 3], [0, 1, 2]], 3)
+
+
+def test_primes_are_fixed():
+    assert [linalg._prime(i) for i in range(3)] == [2**31 - 1, 2147483629, 2147483587]
+
+
+def test_tall_matrices_match_reference():
+    rng = random.Random(31)
+    for _ in range(12):
+        nrows, ncols = rng.randint(20, 40), rng.randint(3, 9)
+        r = rng.randint(1, ncols)
+        assert_matches_reference(low_rank(rng, nrows, ncols, r, 9), ncols, rng)
+    assert_matches_reference(random_matrix(rng, 40, 6), 6, rng)
+
+
+def test_large_entries_need_several_primes(monkeypatch):
+    rng = random.Random(41)
+    used = set()
+    real_prime = linalg._prime
+    monkeypatch.setattr(linalg, "_prime", lambda i: used.add(i) or real_prime(i))
+    for _ in range(6):
+        nrows, ncols = rng.randint(3, 8), rng.randint(3, 8)
+        m = low_rank(rng, nrows, ncols, rng.randint(1, min(nrows, ncols)), 2**22)
+        m[0][0] += 1  # one entry off the low-rank pattern
+        assert max(abs(v) for row in m for v in row) > 2**40
+        assert_matches_reference(m, ncols, rng)
+    assert len(used) > 1
+
+
+def test_unlucky_first_prime():
+    p = linalg._prime(0)
+    rng = random.Random(3)
+    cases = [
+        [[p, 1, 0, 4], [0, 0, 1, 5]],       # pivot column 0 vanishes mod p
+        [[1, 2, 7], [3, 6 + p, 1]],         # the 2x2 pivot minor is p
+        [[2, 3, 5, 1], [4, 6, 10 + 2 * p, 3], [1, 1, 1, 1]],
+    ]
+    for m in cases:
+        ncols = len(m[0])
+        a = linalg.np.array(m, dtype=object) % p
+        _, pivots_mod_p = linalg._rref_mod(a.astype(linalg.np.int64), p)
+        ref = ref_rref(m, ncols)
+        ref_pivots = [next(c for c, v in enumerate(row) if v) for row in ref]
+        assert pivots_mod_p != ref_pivots  # the first prime is unlucky here
+        assert_matches_reference(m, ncols, rng)
+
+
+def test_fraction_rows_match_reference():
+    rng = random.Random(59)
+    for _ in range(10):
+        nrows, ncols = rng.randint(2, 12), rng.randint(2, 8)
+        m = [[Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+              if rng.random() < 0.7 else Fraction(0) for _ in range(ncols)]
+             for _ in range(nrows)]
+        assert_matches_reference(m, ncols, rng)
+        assert_matches_reference(m + m[:1], ncols, rng)  # a repeated row
 
 
 def test_solve_consistent_and_inconsistent():

@@ -6,7 +6,7 @@ import pytest
 
 import e8jacobi.structure as st
 from e8jacobi import linalg
-from e8jacobi.expansion import JacobiExpansion, div_delta, eval_zero, x_form
+from e8jacobi.expansion import JacobiExpansion, div_delta, eval_zero, scale, x_form
 from e8jacobi.genring import expand
 from e8jacobi.lattice import (FUNDAMENTAL, ZERO, dominant_by_norm, norm,
                               orbit_size)
@@ -153,6 +153,20 @@ def test_singular_solve_checks_raise(gens6, monkeypatch):
     monkeypatch.setattr(st, "x_form", x_form_with_constant_at_q1)
     with pytest.raises(ArithmeticError, match="non-singular support at q\\^1"):
         st.singular_solve(4)
+
+
+def test_singular_theta_check_raises(gens6, monkeypatch):
+    monkeypatch.setattr(st, "x_form", lambda t, trunc: scale(x_form(t, trunc), 2))
+    with pytest.raises(ArithmeticError, match="constant term 2, not 1"):
+        st.singular_solve(2)
+
+
+def test_select_generators_checks_raise(gens6, monkeypatch):
+    space = st.weak_basis(-8, 3, trunc=st.n_cap(3) + 1)
+    assert space.dim
+    monkeypatch.setattr(st.linalg, "rank", lambda rows, ncols=None: 0)
+    with pytest.raises(ArithmeticError, match="found 0 of 1 generators in weight -8"):
+        st._select_generators(space, [], 1)
 
 
 def test_holo_dim_two_routes(gens6):
