@@ -9,7 +9,8 @@ Expansions requested by name or polynomial text are cached on disk under
 ``<cache-dir>/<schema-version>/<form-id>.json`` where the form id is the name
 itself or a content hash of the canonical polynomial text.  Cached entries
 are version-checked on load and reused whenever they hold at least the
-requested number of orders.
+requested number of orders and restrict at z = 0 to the Eisenstein image of
+their source (A_i -> E4, B_j -> E6); any other entry is recomputed.
 """
 from __future__ import annotations
 
@@ -28,10 +29,10 @@ from .config import TruncationError
 from .expansion import (DivisionError, JacobiExpansion, check_support,
                         div_delta, div_e4, eval_zero, from_payload,
                         orbit_symbol, to_payload, x_form)
-from .genring import (DELTA_POLY, NAMED_POLYNOMIALS, WEAK_INDEX2, WEAK_INDEX3,
-                      GeneratorPolynomial, expand as expand_poly,
+from .genring import (DELTA_POLY, GEN_ORDER, NAMED_POLYNOMIALS, WEAK_INDEX2,
+                      WEAK_INDEX3, GeneratorPolynomial, expand as expand_poly,
                       pivot_identity_residual, reduction_obstruction_e4sq,
-                      sakai_generators)
+                      restriction_at_zero, sakai_generators)
 from .lattice import FUNDAMENTAL, ZERO, dominant_by_norm, norm
 from .qseries import QSeries, eisenstein
 
@@ -180,6 +181,17 @@ def _compute_form(token: str, poly: GeneratorPolynomial | None,
     return sakai_generators(trunc)[token]
 
 
+def _restriction(token: str, poly: GeneratorPolynomial | None, trunc: int) -> QSeries:
+    """The value at z = 0 that the source of a form fixes: A_i -> E4, B_j -> E6."""
+    if poly is None and token in NAMED_POLYNOMIALS:
+        poly = NAMED_POLYNOMIALS[token]
+    elif poly is None and token in GEN_ORDER:
+        poly = GeneratorPolynomial.from_text(token)
+    if poly is not None:
+        return restriction_at_zero(poly, trunc)
+    return eisenstein(6 if token == "B5HAT" else 4, trunc)  # B5HAT or X<t>
+
+
 def resolve_form(name_or_text: str, trunc: int) -> JacobiExpansion:
     """Expansion of a named form or polynomial text, via the disk cache."""
     form_id, poly = _form_id(name_or_text)
@@ -188,9 +200,11 @@ def resolve_form(name_or_text: str, trunc: int) -> JacobiExpansion:
     try:
         if (payload is not None and payload.get("schema") == SCHEMA_VERSION
                 and payload.get("truncation", 0) >= trunc):
-            return from_payload(payload).truncate(trunc)
+            f = from_payload(payload).truncate(trunc)
+            if eval_zero(f) == _restriction(name_or_text.strip(), poly, trunc):
+                return f
     except (KeyError, TypeError, ValueError, ZeroDivisionError):
-        pass  # an entry that does not read as a form is a miss: recompute, overwrite
+        pass  # an entry that does not read as the form is a miss: recompute, overwrite
     f = _compute_form(name_or_text.strip(), poly, trunc)
     record = to_payload(f)
     record["schema"] = SCHEMA_VERSION

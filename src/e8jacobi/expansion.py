@@ -4,57 +4,72 @@ A JacobiExpansion stores, for each q-order n < trunc, the coefficient as a
 W-invariant function of the elliptic variables, in one or both of two bases:
 a polynomial in the fundamental orbit sums u_1..u_8 (the u-monomial basis,
 where the engine multiplies, divides and combines forms), or a map
-{dominant weight -> rational} (the public orbit-sum basis, for conditions
-that name an orbit and for display).  Each is materialized lazily from the
-other and interconverted exactly; `combine` sums many forms in one pass.
+{dominant weight -> Fraction} (the public orbit-sum basis, for conditions
+that name an orbit, for payloads and for display).  Each is materialized
+lazily from the other and interconverted exactly; `combine` sums many forms
+in one pass.
+
+In the u-monomial basis a q-order is one positive denominator over int
+numerators (`orbitalg.UPoly`), kept canonical, so `multiply`, `mul_series`,
+`combine` and the divisions by E4 and Delta run on ints alone; the
+denominators live in `_den` beside the numerator dicts in `_upoly`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, lcm
 
 from . import orbitalg as oa
+from .config import TruncationError
 from .lattice import ZERO, dominant_by_norm, norm, orbit_size, orbit_vectors, sigma, t_degree
-from .qseries import QSeries, eisenstein
+from .qseries import QSeries, discriminant, eisenstein
 
 OrbitDict = dict[tuple[int, ...], Fraction]
-UPoly = dict[int, Fraction]
+UPoly = oa.UPoly
 
 
 class JacobiExpansion:
-    __slots__ = ("weight", "index", "trunc", "holomorphic", "_orbit", "_upoly")
+    __slots__ = ("weight", "index", "trunc", "holomorphic", "_orbit", "_upoly", "_den")
 
     def __init__(self, weight: int, index: int, trunc: int, *,
                  orbit: list[OrbitDict] | None = None,
                  upoly: list[UPoly] | None = None,
                  holomorphic: bool = False):
-        assert weight % 2 == 0, "invariant forms have even weight"
-        assert index >= 0 and trunc >= 1
-        assert orbit is not None or upoly is not None
+        if weight % 2 or index < 0 or trunc < 1:
+            raise ValueError(f"no invariant expansion of weight {weight}, index {index}, "
+                             f"truncation {trunc}")
+        for rep in (orbit, upoly):
+            if rep is not None and len(rep) != trunc:
+                raise ValueError(f"{len(rep)} q-orders given for truncation {trunc}")
+        if orbit is None and upoly is None:
+            raise ValueError("an expansion needs its orbit or its u-monomial coefficients")
         self.weight = weight
         self.index = index
         self.trunc = trunc
         self.holomorphic = holomorphic
         self._orbit = orbit
-        self._upoly = upoly
-        for rep in (orbit, upoly):
-            if rep is not None:
-                assert len(rep) == trunc
+        self._upoly = self._den = None
+        if upoly is not None:
+            self._den = [den for den, _ in upoly]
+            self._upoly = [nums for _, nums in upoly]
 
     # -- representations ----------------------------------------------------
 
     @property
     def coeffs(self) -> list[OrbitDict]:
         if self._orbit is None:
-            self._orbit = [oa.upoly_to_orbit_dict(p) for p in self._upoly]
+            self._orbit = [oa.upoly_to_orbit_dict(p) for p in self.upolys]
         return self._orbit
 
     @property
     def upolys(self) -> list[UPoly]:
+        """The canonical (denominator, numerators) pair of each q-order."""
         if self._upoly is None:
-            self._upoly = [oa.orbit_dict_to_upoly(d) for d in self._orbit]
-        return self._upoly
+            ups = [oa.orbit_dict_to_upoly(d) for d in self._orbit]
+            self._den = [den for den, _ in ups]
+            self._upoly = [nums for _, nums in ups]
+        return list(zip(self._den, self._upoly))
 
     def coeff(self, n: int, m=ZERO) -> Fraction:
         if not 0 <= n < self.trunc:
@@ -67,7 +82,7 @@ class JacobiExpansion:
         return JacobiExpansion(
             self.weight, self.index, trunc,
             orbit=None if self._orbit is None else self._orbit[:trunc],
-            upoly=None if self._upoly is None else self._upoly[:trunc],
+            upoly=None if self._upoly is None else self.upolys[:trunc],
             holomorphic=self.holomorphic)
 
     def __eq__(self, other) -> bool:
@@ -76,6 +91,8 @@ class JacobiExpansion:
         n = min(self.trunc, other.trunc)
         if (self.weight, self.index) != (other.weight, other.index):
             return False
+        if self._upoly is not None and other._upoly is not None:
+            return self.upolys[:n] == other.upolys[:n]   # canonical pairs
         a, b = self.coeffs, other.coeffs
         return all(a[i] == b[i] for i in range(n))
 
@@ -117,13 +134,13 @@ def orbit_symbol(m) -> str:
 
 def zero(weight: int, index: int, trunc: int) -> JacobiExpansion:
     return JacobiExpansion(weight, index, trunc,
-                           upoly=[{} for _ in range(trunc)], holomorphic=True)
+                           upoly=[(1, {}) for _ in range(trunc)], holomorphic=True)
 
 
 def from_qseries(f: QSeries, weight: int, index: int = 0) -> JacobiExpansion:
     return JacobiExpansion(
         weight, index, f.trunc,
-        upoly=[({oa.KEY_ONE: c} if c else {}) for c in f.coeffs],
+        upoly=[(c.denominator, {oa.KEY_ONE: c.numerator} if c else {}) for c in f.coeffs],
         holomorphic=True)
 
 
@@ -135,8 +152,13 @@ def theta_e8(trunc: int) -> JacobiExpansion:
 
 # -- linear structure -------------------------------------------------------
 
+def _check_like(forms) -> None:
+    if len({(f.weight, f.index) for f in forms}) > 1:
+        raise ValueError("can only add like forms")
+
+
 def add(f: JacobiExpansion, g: JacobiExpansion, cf=1, cg=1) -> JacobiExpansion:
-    assert (f.weight, f.index) == (g.weight, g.index), "can only add like forms"
+    _check_like((f, g))
     trunc = min(f.trunc, g.trunc)
     cf, cg = Fraction(cf), Fraction(cg)
     if f._orbit is not None and g._orbit is not None:
@@ -154,13 +176,8 @@ def add(f: JacobiExpansion, g: JacobiExpansion, cf=1, cg=1) -> JacobiExpansion:
         return JacobiExpansion(f.weight, f.index, trunc, orbit=out,
                                holomorphic=f.holomorphic and g.holomorphic)
     fu, gu = f.upolys, g.upolys
-    ups: list[UPoly] = []
-    for n in range(trunc):
-        p: UPoly = {}
-        oa.upoly_add_into(p, fu[n], cf)
-        oa.upoly_add_into(p, gu[n], cg)
-        ups.append(p)
-    return JacobiExpansion(f.weight, f.index, trunc, upoly=ups,
+    return JacobiExpansion(f.weight, f.index, trunc,
+                           upoly=[oa.lincomb(((cf, fu[n]), (cg, gu[n]))) for n in range(trunc)],
                            holomorphic=f.holomorphic and g.holomorphic)
 
 
@@ -168,10 +185,10 @@ def combine(coeffs, forms: list[JacobiExpansion]) -> JacobiExpansion:
     """The linear combination sum c*f of like forms, in the u-monomial basis."""
     terms = [(c, f) for c, f in zip(coeffs, forms) if c]
     like = forms[0]
-    assert all((f.weight, f.index) == (like.weight, like.index) for _, f in terms), \
-        "can only add like forms"
+    _check_like([like] + [f for _, f in terms])
     trunc = min(f.trunc for f in forms)
-    out = [oa.lincomb((c, f.upolys[n]) for c, f in terms) for n in range(trunc)]
+    ups = [f.upolys for _, f in terms]
+    out = [oa.lincomb((c, u[n]) for (c, _), u in zip(terms, ups)) for n in range(trunc)]
     return JacobiExpansion(like.weight, like.index, trunc, upoly=out,
                            holomorphic=all(f.holomorphic for _, f in terms))
 
@@ -189,39 +206,36 @@ def scale(f: JacobiExpansion, c) -> JacobiExpansion:
             holomorphic=f.holomorphic)
     return JacobiExpansion(
         f.weight, f.index, f.trunc,
-        upoly=[oa.upoly_scale(p, c) for p in f.upolys],
+        upoly=[oa.lincomb(((c, p),)) for p in f.upolys],
         holomorphic=f.holomorphic)
 
 
 # -- multiplicative structure ----------------------------------------------
 
 def multiply(f: JacobiExpansion, g: JacobiExpansion) -> JacobiExpansion:
-    """Product of two expansions; weights and indices add."""
+    """Product of two expansions; weights and indices add.
+
+    Order n sums the pairs (i, n - i), each a product of integer numerators
+    over den_f[i] * den_g[n - i], scaled to the lcm of those denominators."""
     trunc = min(f.trunc, g.trunc)
-    fu, gu = f.upolys, g.upolys
-    oa.check_product((k for p in fu[:trunc] for k in p), (k for p in gu[:trunc] for k in p))
-    out: list[UPoly] = [{} for _ in range(trunc)]
-    for n1 in range(trunc):
-        a = fu[n1]
-        if not a:
-            continue
-        for n2 in range(trunc - n1):
-            b = gu[n2]
-            if not b:
-                continue
-            acc = out[n1 + n2]
+    fu, gu = f.upolys[:trunc], g.upolys[:trunc]
+    oa.check_product((k for _, p in fu for k in p), (k for _, p in gu for k in p))
+    out: list[UPoly] = []
+    for n in range(trunc):
+        pairs = [(fu[i], gu[n - i]) for i in range(n + 1) if fu[i][1] and gu[n - i][1]]
+        den = lcm(*(da * db for (da, _), (db, _) in pairs))
+        acc: dict[int, int] = {}
+        get = acc.get
+        for (da, a), (db, b) in pairs:
+            m = den // (da * db)
             if len(a) > len(b):
-                a2, b2 = b, a
-            else:
-                a2, b2 = a, b
-            for ka, ca in a2.items():
-                for kb, cb in b2.items():
+                a, b = b, a
+            for ka, ca in a.items():
+                ca *= m
+                for kb, cb in b.items():
                     k = ka + kb
-                    v = acc.get(k, 0) + ca * cb
-                    if v:
-                        acc[k] = v
-                    else:
-                        acc.pop(k, None)
+                    acc[k] = get(k, 0) + ca * cb
+        out.append(oa.canonical(den, {k: v for k, v in acc.items() if v}))
     return JacobiExpansion(f.weight + g.weight, f.index + g.index, trunc,
                            upoly=out, holomorphic=f.holomorphic and g.holomorphic)
 
@@ -243,25 +257,29 @@ class DivisionError(ValueError):
 
 def div_delta(f: JacobiExpansion, n0: int) -> JacobiExpansion:
     """Divide by Delta^n0: requires the first n0 q-orders to vanish identically."""
-    from .qseries import discriminant
-
     ups = f.upolys
     for n in range(min(n0, f.trunc)):
-        if ups[n]:
+        if ups[n][1]:
             bad = oa.upoly_to_orbit_dict(ups[n])
             m = min(bad, key=lambda m: (norm(m), m))
             raise DivisionError(
                 f"not divisible by Delta^{n0}: q^{n} has coefficient "
                 f"{bad[m]} at orbit {orbit_symbol(m)}")
     trunc = f.trunc - n0
-    assert trunc >= 1, "truncation exhausted by the Delta shift"
-    shifted = [ups[n + n0] for n in range(trunc)]
-    g = JacobiExpansion(f.weight - 12 * n0, f.index, trunc, upoly=shifted)
+    if trunc < 1:
+        raise TruncationError(f"dividing by Delta^{n0} needs truncation > {n0}, "
+                              f"got {f.trunc}: exhausted by the Delta shift")
+    g = JacobiExpansion(f.weight - 12 * n0, f.index, trunc, upoly=ups[n0:])
     if not n0:
         return g
     # remaining unit factor: (Delta/q)^n0, channel-wise division
-    delta_over_q = QSeries(discriminant(f.trunc).coeffs[1:])
-    return _div_unit_series(g, delta_over_q ** n0)
+    return _div_unit_series(g, _delta_over_q_power(n0, f.trunc))
+
+
+@lru_cache(maxsize=None)
+def _delta_over_q_power(n0: int, trunc: int) -> QSeries:
+    """(Delta/q)^n0 to trunc - 1 orders (shared: nothing may mutate it)."""
+    return QSeries(discriminant(trunc).coeffs[1:]) ** n0
 
 
 def div_e4(f: JacobiExpansion) -> JacobiExpansion:
@@ -273,23 +291,19 @@ def div_e4(f: JacobiExpansion) -> JacobiExpansion:
 
 
 def _div_unit_series(f: JacobiExpansion, s: QSeries) -> JacobiExpansion:
-    assert s.coeffs[0] != 0
+    """f / s for a series s with nonzero constant term: order n of the quotient
+    is (f[n] - sum_j s_j out[n - j]) / s_0, one `lincomb`.  For the integral
+    s with s_0 = 1 met in practice, no denominator beyond f's arises."""
+    lead = s.coeffs[0]
+    if not lead:
+        raise DivisionError("division by a q-series with zero constant term")
     trunc = min(f.trunc, s.trunc)
     fu = f.upolys
-    keys = sorted({k for p in fu[:trunc] for k in p})
-    out: list[UPoly] = [{} for _ in range(trunc)]
-    inv_lead = 1 / s.coeffs[0]
-    for key in keys:
-        prev: list[Fraction] = []
-        for n in range(trunc):
-            acc = fu[n].get(key, Fraction(0))
-            for j in range(1, n + 1):
-                if s.coeffs[j] and prev[n - j]:
-                    acc -= s.coeffs[j] * prev[n - j]
-            c = acc * inv_lead
-            prev.append(c)
-            if c:
-                out[n][key] = c
+    inv = 1 / lead
+    cs = [-c * inv for c in s.coeffs[:trunc]]
+    out: list[UPoly] = []
+    for n in range(trunc):
+        out.append(oa.lincomb([(inv, fu[n])] + [(cs[j], out[n - j]) for j in range(1, n + 1)]))
     return JacobiExpansion(f.weight, f.index, trunc, upoly=out)
 
 
@@ -308,10 +322,13 @@ def power(f: JacobiExpansion, e: int) -> JacobiExpansion:
 def eval_zero(f: JacobiExpansion) -> QSeries:
     """Restrict the elliptic variables to zero: orb(m) -> |W m|."""
     if f._orbit is not None:
-        vals = [sum((c * orbit_size(m) for m, c in d.items()), Fraction(0))
-                for d in f._orbit]
+        vals = []
+        for d in f._orbit:
+            den = lcm(*(c.denominator for c in d.values()))
+            vals.append(Fraction(sum(c.numerator * (den // c.denominator) * orbit_size(m)
+                                     for m, c in d.items()), den))
     else:
-        vals = [oa.upoly_eval_sizes(p) for p in f._upoly]
+        vals = [oa.upoly_eval_sizes(p) for p in f.upolys]
     return QSeries(vals, f.trunc)
 
 
@@ -476,7 +493,8 @@ def level_trace(t: int, trunc: int) -> JacobiExpansion:
 
     raw = JacobiExpansion(6, t, trunc, orbit=acc, holomorphic=True)
     ez = eval_zero(raw)
-    assert ez[0] != 0, "level trace has vanishing constant term"
+    if not ez[0]:
+        raise ArithmeticError(f"level_trace({t}) has vanishing constant term")
     target = eisenstein(6, trunc)
     scaled = ez.scale(1 / ez[0])
     if scaled != target:

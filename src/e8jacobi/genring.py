@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import config, linalg
 from .expansion import (
@@ -362,6 +363,20 @@ def _eisenstein_power(a: int, b: int, trunc: int) -> QSeries:
     return (eisenstein(4, trunc) ** a) * (eisenstein(6, trunc) ** b)
 
 
+def restriction_at_zero(poly: GeneratorPolynomial, trunc: int) -> QSeries:
+    """The value of `expand(poly)` at z = 0, read off the polynomial: every
+    generator restricts to the Eisenstein series of its weight (A_i -> E4,
+    B_j -> E6).  Summed over one denominator: E4^a * E6^b is integral."""
+    den = lcm(*(c.denominator for c in poly.terms.values()))
+    vals = [0] * trunc
+    for expo, c in poly.terms.items():
+        a = sum(e for e, w in zip(expo, GEN_WEIGHT) if w == 4)
+        m = c.numerator * (den // c.denominator)
+        for n, v in enumerate(_eisenstein_power(a, sum(expo) - a, trunc).coeffs):
+            vals[n] += m * v.numerator
+    return QSeries([Fraction(v, den) for v in vals], trunc)
+
+
 def expand(poly: GeneratorPolynomial, trunc: int | None = None) -> JacobiExpansion:
     """Fourier expansion of a bihomogeneous generator polynomial."""
     if trunc is None:
@@ -387,9 +402,11 @@ def _expand(poly: GeneratorPolynomial, trunc: int, gens: dict[str, JacobiExpansi
     parts = []
     for (a, b), terms in by_eisenstein.items():
         coeffs, forms = zip(*terms)
-        parts.append(mul_series(combine(coeffs, forms), _eisenstein_power(a, b, trunc),
-                                weight_shift=4 * a + 6 * b))
-    out = combine([1] * len(parts), parts)
+        part = forms[0] if coeffs == (1,) else combine(coeffs, forms)
+        if a or b:
+            part = mul_series(part, _eisenstein_power(a, b, trunc), weight_shift=4 * a + 6 * b)
+        parts.append(part)
+    out = parts[0] if len(parts) == 1 else combine([1] * len(parts), parts)
     if (out.weight, out.index) != (poly.weight, poly.index):
         raise ArithmeticError(f"expansion of bidegree {(out.weight, out.index)} "
                               f"for a polynomial of {(poly.weight, poly.index)}")

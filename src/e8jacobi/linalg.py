@@ -49,19 +49,15 @@ import numpy as np
 
 
 def _int_rows(matrix) -> list[list[int]]:
+    """The nonzero rows, each cleared to a primitive integer row."""
     out = []
     for row in matrix:
-        row = list(row)
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        ints = [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-        if any(ints):
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            out.append([v // g for v in ints])
+        den = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+        ints = [x.numerator * (den // x.denominator) if isinstance(x, Fraction)
+                else int(x) * den for x in row]
+        g = gcd(*ints)
+        if g:
+            out.append([v // g for v in ints] if g != 1 else ints)
     return out
 
 

@@ -27,15 +27,21 @@ The exactness of the integer division and the total-count conservation law
 sum_y N(l, y) |W y| = prod |W w_i|^{l_i} are checked on every computed row
 (ArithmeticError if either fails).
 
-u-polynomials are dicts keyed by packed exponents (base 32 per generator), so
-monomial multiplication is integer addition of keys.  `pack` and every
-product check that no exponent reaches 32, which would carry into the next
-generator (ArithmeticError).
+A u-polynomial is a pair (den, nums): one positive integer denominator and a
+dict {packed key: int numerator}, reduced so that gcd(den, numerators) = 1
+and no numerator is zero.  Equal polynomials are therefore equal pairs, and
+all arithmetic on them runs on ints: `lincomb` sums rational multiples of
+u-polynomials over the lcm of their denominators, and the conversions sum
+integer table rows.  `Fraction`s appear only in the orbit dicts that
+`upoly_to_orbit_dict` returns and `orbit_dict_to_upoly` reads.  Keys are
+packed exponents (base 32 per generator), so monomial multiplication is
+integer addition of keys.  `pack` and every product check that no exponent
+reaches 32, which would carry into the next generator (ArithmeticError).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -57,6 +63,11 @@ _PACK_BITS = 5
 _PACK_BASE = 1 << _PACK_BITS
 _PACK_POW = tuple(_PACK_BASE ** i for i in range(RANK))
 KEY_ONE = 0
+
+#: A u-polynomial: one positive denominator and {packed key: int numerator},
+#: with gcd(den, numerators) = 1 and no zero numerator, so equal polynomials
+#: are equal pairs.  The empty polynomial is (1, {}).
+UPoly = tuple[int, dict[int, int]]
 
 
 def pack(l) -> int:
@@ -99,6 +110,9 @@ _STRIP_ORDER = sorted(range(RANK), key=lambda i: _FUND_SIZES[i])
 _mpass: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], int]] = {}
 _mono: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
 _inv: dict[tuple[int, ...], dict[int, int]] = {}
+_key_rows: dict[int, dict[int, int]] = {}
+_orbit_id: dict[tuple[int, ...], int] = {}
+_orbits: list[tuple[int, ...]] = []
 _mpass_dirty = False
 
 
@@ -201,70 +215,82 @@ def orbit_to_mono(x: tuple[int, ...]) -> dict[int, int]:
     return acc
 
 
-def lincomb(terms) -> dict:
-    """sum c * d over (coefficient, dict) pairs, summed as integers on one denominator."""
-    terms = [(Fraction(c), d) for c, d in terms if c]
-    den = lcm(*(c.denominator * v.denominator for c, d in terms for v in d.values()))
-    acc = {}
-    for c, d in terms:
-        num, scale = c.numerator, den // c.denominator
-        for k, v in d.items():
-            acc[k] = acc.get(k, 0) + num * v.numerator * (scale // v.denominator)
-    return {k: Fraction(v, den) for k, v in acc.items() if v}
-
-
-def orbit_dict_to_upoly(d: dict[tuple[int, ...], Fraction]) -> dict[int, Fraction]:
-    return lincomb((c, orbit_to_mono(tuple(x))) for x, c in d.items())
-
-
-def upoly_to_orbit_dict(p: dict[int, Fraction]) -> dict[tuple[int, ...], Fraction]:
-    """Invert orbit_dict_to_upoly: sum_l p_l * mono_to_orbit(l)."""
-    return lincomb((c, mono_to_orbit(unpack(k))) for k, c in p.items())
-
-
-def upoly_mul(a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-    check_product(a, b)
-    if len(a) > len(b):
-        a, b = b, a
-    out: dict[int, Fraction] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            v = out.get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
-
-
-def upoly_scale(a: dict[int, Fraction], c: Fraction) -> dict[int, Fraction]:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
-def upoly_add_into(acc: dict[int, Fraction], a: dict[int, Fraction], c: Fraction) -> None:
-    if not c:
-        return
-    for k, v in a.items():
-        w = acc.get(k, 0) + v * c
-        if w:
-            acc[k] = w
+def _accumulate(terms) -> dict:
+    """sum m * d over (int multiplier, int-valued dict) pairs, zeros dropped."""
+    acc: dict = {}
+    get = acc.get
+    for m, d in terms:
+        if m == 1:
+            for k, v in d.items():
+                acc[k] = get(k, 0) + v
         else:
-            acc.pop(k, None)
+            for k, v in d.items():
+                acc[k] = get(k, 0) + m * v
+    return {k: v for k, v in acc.items() if v}
 
 
-def upoly_eval_sizes(p: dict[int, Fraction]) -> Fraction:
+def canonical(den: int, nums: dict[int, int]) -> UPoly:
+    """(den, nums) divided by gcd(den, nums): the canonical form."""
+    if not nums:
+        return 1, {}
+    g = gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {k: v // g for k, v in nums.items()}
+
+
+def lincomb(terms) -> UPoly:
+    """sum c * p over (rational coefficient, u-polynomial) pairs, in integers
+    over the lcm of the denominators, then reduced to the canonical form."""
+    parts = [(c.numerator, c.denominator * den, nums)
+             for c, (den, nums) in terms if c and nums]
+    if not parts:
+        return 1, {}
+    den = lcm(*(d for _, d, _ in parts))
+    return canonical(den, _accumulate((num * (den // d), nums) for num, d, nums in parts))
+
+
+def orbit_dict_to_upoly(d: dict[tuple[int, ...], Fraction]) -> UPoly:
+    d = {x: c for x, c in d.items() if c}
+    den = lcm(*(c.denominator for c in d.values()))
+    return canonical(den, _accumulate((c.numerator * (den // c.denominator),
+                                       orbit_to_mono(tuple(x))) for x, c in d.items()))
+
+
+def _key_row(key: int) -> dict[int, int]:
+    """mono_to_orbit of a packed key, over orbit ids (`_orbits[id]` is the
+    weight): small ints hash and compare faster than weight tuples."""
+    row = _key_rows.get(key)
+    if row is None:
+        row = {}
+        for y, n in mono_to_orbit(unpack(key)).items():
+            i = _orbit_id.get(y)
+            if i is None:
+                i = _orbit_id[y] = len(_orbits)
+                _orbits.append(y)
+            row[i] = n
+        _key_rows[key] = row
+    return row
+
+
+def upoly_to_orbit_dict(p: UPoly) -> dict[tuple[int, ...], Fraction]:
+    """Invert orbit_dict_to_upoly: sum_l p_l * mono_to_orbit(l), over the
+    denominator of p."""
+    den, nums = p
+    acc = _accumulate((v, _key_row(k)) for k, v in nums.items())
+    return {_orbits[i]: Fraction(v, den) for i, v in acc.items()}
+
+
+def upoly_eval_sizes(p: UPoly) -> Fraction:
     """Evaluate at z = 0: substitute u_i -> |W w_i|."""
-    total = Fraction(0)
-    for k, c in p.items():
-        term = c
+    den, nums = p
+    total = 0
+    for k, c in nums.items():
         for i, e in enumerate(unpack(k)):
             if e:
-                term *= _FUND_SIZES[i] ** e
-        total += term
-    return total
+                c *= _FUND_SIZES[i] ** e
+        total += c
+    return Fraction(total, den)
 
 
 def key_t_degree(key: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from . import config, linalg
@@ -243,6 +244,16 @@ class WeakSpace:
         self.column_expansions = None
 
 
+def _upoly_rows(layer: list[oa.UPoly]) -> list[list[int]]:
+    """One integer row per u-monomial of the q-order `layer` (one u-polynomial
+    per column): its coefficients times the lcm of the layer's denominators,
+    a positive multiple of the rational row, with the same kernel."""
+    den = lcm(*(d for d, _ in layer))
+    scaled = [(nums, den // d) for d, nums in layer]
+    return [[nums.get(key, 0) * m for nums, m in scaled]
+            for key in sorted({key for _, nums in layer for key in nums})]
+
+
 def weak_basis(k: int, t: int, trunc: int | None = None,
                shuffle: Random | None = None) -> WeakSpace:
     """Basis of the weak forms of weight k and lattice index t.
@@ -265,11 +276,10 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
             f"(numerator vanishing to q^{N}); configured {trunc}")
     specs = _slot_specs(k, t, N)
     cols, forms = _column_forms(specs, trunc)
+    ups = [f.upolys for f in forms]
     rows = []
     for n in range(N):
-        layer = [f.upolys[n] for f in forms]
-        for key in sorted({key for p in layer for key in p}):
-            rows.append([p.get(key, Fraction(0)) for p in layer])
+        rows += _upoly_rows([u[n] for u in ups])
     perm = None
     if shuffle is not None and cols:
         perm = list(range(len(cols)))
@@ -629,20 +639,20 @@ def singular_solve(t: int, delta_power: int | None = None,
     unit = (delta_over_q ** D) * (eisenstein(4, trunc) ** top)
     quotients = [_div_unit_series(f, unit) for f in forms]
 
+    ups = [h.upolys for h in quotients]
     rows = []
     for n in range(max(D + M, D + 1)):
         if n < D:
             # The principal part must vanish entirely, in any basis.
-            layer = [h.upolys[n] for h in quotients]
-            support = sorted({k for p in layer for k in p})
-        else:
-            # From the q^0-term on, only non-singular channels are pinned:
-            # the norm-2(n-D)t orbits (the constant term at n = D) stay free.
-            layer = [oa.upoly_to_orbit_dict(h.upolys[n]) for h in quotients]
-            support = sorted({m for d in layer for m in d
-                              if norm(m) != 2 * (n - D) * t}, key=_orbit_key)
+            rows += _upoly_rows([u[n] for u in ups])
+            continue
+        # From the q^0-term on, only non-singular channels are pinned:
+        # the norm-2(n-D)t orbits (the constant term at n = D) stay free.
+        layer = [oa.upoly_to_orbit_dict(u[n]) for u in ups]
+        support = sorted({m for d in layer for m in d
+                          if norm(m) != 2 * (n - D) * t}, key=_orbit_key)
         for key in support:
-            rows.append([d.get(key, Fraction(0)) for d in layer])
+            rows.append([d.get(key, 0) for d in layer])
     kernel = linalg.kernel_basis(rows, len(cols)) if cols else []
 
     solutions = []

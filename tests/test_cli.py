@@ -224,6 +224,20 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, text):
     assert json.loads(entry.read_text())["form_id"] == "A1"
 
 
+def test_edited_cache_entry_is_recomputed(capsys, tmp_path):
+    # An entry that reads as a form but is not the named one (constant term
+    # edited to 7) fails the check at z = 0 against E4: recomputed, overwritten.
+    argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv)[0] == 0
+    entry = tmp_path / "1" / "A1.json"
+    payload = json.loads(entry.read_text())
+    payload["coeffs"][0] = {"0,0,0,0,0,0,0,0": ["7", "1"]}
+    entry.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.strip() == EXPAND_A1_2
+    assert json.loads(entry.read_text())["coeffs"][0] == {"0,0,0,0,0,0,0,0": ["1", "1"]}
+
+
 def test_truncated_monomial_entries_are_ignored(capsys, tmp_path, monkeypatch):
     # Monomial bodies of "A1^2 - A2*E4" at order 1, as an older engine stored
     # them on disk, truncated; they must never be read.

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from e8jacobi import config
-from e8jacobi.expansion import (DivisionError, JacobiExpansion, add,
-                                check_support, div_delta, div_e4, eval_zero,
+from e8jacobi import expansion
+from e8jacobi.config import TruncationError
+from e8jacobi.expansion import (DivisionError, JacobiExpansion, _div_unit_series, add,
+                                check_support, combine, div_delta, div_e4, eval_zero,
                                 from_payload, from_qseries, hecke_v,
                                 level_trace, mul_series, multiply, power,
                                 quasi_periodicity_violations, scale, scale_z,
@@ -123,3 +124,35 @@ def test_zero_and_from_qseries():
     assert z.is_zero() and z.trunc == 4
     e = from_qseries(eisenstein(4, 4), 4)
     assert e.index == 0 and e.coeffs[1] == {ZERO: 240}
+
+
+def test_representation_length_checks_raise():
+    with pytest.raises(ValueError):
+        JacobiExpansion(4, 1, 3, upoly=[(1, {})] * 2)
+    with pytest.raises(ValueError):
+        JacobiExpansion(4, 1, 2, orbit=[{}] * 3)
+
+
+def test_unit_series_checks_raise():
+    f = zero(4, 1, 2)
+    with pytest.raises(DivisionError):
+        _div_unit_series(f, QSeries([0, 1]))
+
+
+def test_delta_shift_checks_raise():
+    with pytest.raises(TruncationError):
+        div_delta(zero(24, 1, 2), 2)
+
+
+def test_like_forms_checks_raise(gens6):
+    a, b = gens6["A1"].truncate(2), gens6["B2"].truncate(2)
+    with pytest.raises(ValueError):
+        add(a, b)
+    with pytest.raises(ValueError):
+        combine([1, 1], [a, b])
+
+
+def test_level_trace_constant_term_checks_raise(monkeypatch):
+    monkeypatch.setattr(expansion, "eval_zero", lambda f: QSeries([0, 1], f.trunc))
+    with pytest.raises(ArithmeticError):
+        level_trace(2, 2)

@@ -11,7 +11,7 @@ from e8jacobi.genring import (DELTA_POLY, GEN_INDEX, GEN_ORDER, GEN_WEIGHT,
                               NAMED_POLYNOMIALS, P4, PIVOT_SCALE, WEAK_INDEX2,
                               WEAK_INDEX3, GeneratorPolynomial, expand,
                               monomials, pin_b4, pivot_identity_residual,
-                              sakai_generators)
+                              restriction_at_zero, sakai_generators)
 from e8jacobi.lattice import FUNDAMENTAL, ZERO
 from e8jacobi.qseries import QSeries, discriminant, eisenstein
 
@@ -210,6 +210,14 @@ def test_eval_zero_of_all_generators(gens6):
         assert eval_zero(gens6[name]) == e4
     for name in ("B2", "B3", "B4", "B5HAT", "B6"):
         assert eval_zero(gens6[name]) == e6
+
+
+def test_restriction_at_zero_matches_expansion(gens6):
+    # The polynomial-side value at z = 0 that a cached form is checked against.
+    polys = list(NAMED_POLYNOMIALS.values()) + [
+        DELTA_POLY, WEAK_INDEX3[-8][0], GeneratorPolynomial.from_text("-3/7*A1*B3 + 5/2*A2*B2")]
+    for poly in polys:
+        assert restriction_at_zero(poly, 4) == eval_zero(expand(poly, 4)), poly
 
 
 def test_delta_poly_expansion(gens6):

@@ -13,10 +13,9 @@ from e8jacobi.genring import sakai_generators
 from e8jacobi.lattice import (FUNDAMENTAL, RANK, ZERO, decode, dominant_batch,
                               dominant_by_norm, encode, fundamental_orbit,
                               height, norm, orbit_size, to_dominant)
-from e8jacobi.orbitalg import (KEY_ONE, key_t_degree, mono_to_orbit,
+from e8jacobi.orbitalg import (KEY_ONE, key_t_degree, lincomb, mono_to_orbit,
                                orbit_dict_to_upoly, orbit_to_mono, pack,
-                               save_tables, unpack, upoly_add_into,
-                               upoly_eval_sizes, upoly_mul, upoly_scale,
+                               save_tables, unpack, upoly_eval_sizes,
                                upoly_to_orbit_dict)
 
 
@@ -51,16 +50,15 @@ def test_pack_rejects_exponents_out_of_range():
             pack((0,) * 7 + (bad,))
 
 
+def u8_power(e: int) -> JacobiExpansion:
+    return JacobiExpansion(0, 2 * e, 1, upoly=[(1, {pack((0,) * 7 + (e,)): 1})])
+
+
 def test_product_overflow_raises():
     # u8^16 * u8^16 would carry into a ninth, nonexistent generator slot.
-    a = {pack((0,) * 7 + (16,)): Fraction(1)}
-    assert upoly_mul(a, {pack((0,) * 7 + (15,)): Fraction(1)}) == {
-        pack((0,) * 7 + (31,)): Fraction(1)}
+    assert multiply(u8_power(16), u8_power(15)).upolys == [(1, {pack((0,) * 7 + (31,)): 1})]
     with pytest.raises(ArithmeticError):
-        upoly_mul(a, a)
-    f = JacobiExpansion(0, 32, 1, upoly=[a])
-    with pytest.raises(ArithmeticError):
-        multiply(f, f)
+        multiply(u8_power(16), u8_power(16))
 
 
 def test_single_factors_are_orbits():
@@ -107,7 +105,8 @@ def test_upoly_roundtrip_and_eval():
 
 def height_elimination(p):
     """The former conversion: eliminate a monomial of maximal height first."""
-    work = {k: Fraction(c) for k, c in p.items() if c}
+    den, nums = p
+    work = {k: Fraction(c, den) for k, c in nums.items() if c}
     out = {}
     while work:
         top = max(work, key=lambda k: (height(unpack(k)), k))
@@ -147,18 +146,17 @@ def test_conversion_matches_height_elimination():
 
 
 def test_upoly_mul_matches_brute():
-    u8 = orbit_dict_to_upoly({(0,) * 7 + (1,): Fraction(1)})
-    sq = upoly_to_orbit_dict(upoly_mul(u8, u8))
+    u8 = JacobiExpansion(0, 1, 1, orbit=[{(0,) * 7 + (1,): Fraction(1)}])
+    sq = multiply(u8, u8).coeffs[0]
     assert sq == {m: Fraction(c) for m, c in brute_product_counts(7, 7).items()}
 
 
 def test_upoly_add_scale():
-    a = {KEY_ONE: Fraction(2), 5: Fraction(1, 3)}
-    acc = dict(a)
-    upoly_add_into(acc, a, Fraction(-1))
-    assert acc == {}
-    assert upoly_scale(a, Fraction(0)) == {}
-    assert upoly_scale(a, Fraction(3))[5] == 1
+    a = (3, {KEY_ONE: 6, 5: 1})   # 2 + u^5 / 3
+    assert lincomb([(1, a), (Fraction(-1), a)]) == (1, {})
+    assert lincomb([(0, a)]) == (1, {})
+    assert lincomb([(3, a)]) == (1, {KEY_ONE: 6, 5: 1})
+    assert lincomb([(Fraction(1, 2), a)]) == (6, {KEY_ONE: 6, 5: 1})
 
 
 def test_key_t_degree():
