@@ -5,12 +5,14 @@ given its flags; JSON output has sorted keys and reduced fractions.  Exit
 codes: 0 success, 1 mathematical mismatch (a witness is printed), 2 resource
 or truncation limit, 3 usage error.
 
-Expansions requested by name or polynomial text are cached on disk under
-``<cache-dir>/<schema-version>/<form-id>.json`` where the form id is the name
-itself or a content hash of the canonical polynomial text.  Cached entries
-are version-checked on load and reused whenever they hold at least the
-requested number of orders and restrict at z = 0 to the Eisenstein image of
-their source (A_i -> E4, B_j -> E6); any other entry is recomputed.
+Expansions requested by name or polynomial text are cached on disk as rows
+of the SQLite database ``<cache-dir>/<schema-version>/cache.sqlite`` (see
+`cachestore`), keyed by the form id: the name itself or a content hash of the
+canonical polynomial text.  Cached entries are version-checked on load and
+reused whenever they hold at least the requested number of orders and
+restrict at z = 0 to the Eisenstein image of their source (A_i -> E4,
+B_j -> E6); any other entry, and any entry of a database that cannot be
+read, is recomputed.
 """
 from __future__ import annotations
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from dataclasses import dataclass, replace
 from contextlib import contextmanager
 
@@ -24,6 +25,7 @@ class EngineConfig:
 
 
 _current = EngineConfig()
+_store = CacheStore(None)
 
 
 def get_config() -> EngineConfig:
@@ -41,7 +43,14 @@ def configure(**kwargs) -> EngineConfig:
 
 
 def get_store() -> CacheStore:
-    return CacheStore(_current.cache_dir)
+    """The store of the configured cache dir.  The process keeps the one last
+    asked for, so every command on one dir shares its database connection."""
+    global _store
+    root = _current.cache_dir
+    if _store.root != (Path(root) if root is not None else None):
+        _store.close()
+        _store = CacheStore(root)
+    return _store
 
 
 @contextmanager

@@ -120,7 +120,8 @@ class JacobiExpansion:
         return " + ".join(parts)
 
 
-def orbit_symbol(m) -> str:
+@lru_cache(maxsize=None)
+def orbit_symbol(m: tuple[int, ...]) -> str:
     """Display symbol O_{a,size}^{[coords]} for the orbit of a dominant weight.
 
     The label a = (m, m)/2 is half the squared norm: for an index-1 holomorphic
@@ -551,15 +552,26 @@ def quasi_periodicity_violations(f: JacobiExpansion, max_orbit: int = 250_000):
 
 # -- serialization ----------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _key_text(m: tuple[int, ...]) -> str:
+    """Payload text "a,b,..." of an orbit key."""
+    return ",".join(map(str, m))
+
+
+@lru_cache(maxsize=None)
+def _text_key(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
 def to_payload(f: JacobiExpansion) -> dict:
+    """JSON-ready form of `f`; whoever dumps it sorts the keys."""
     return {
         "weight": f.weight,
         "index": f.index,
         "truncation": f.trunc,
         "holomorphic": f.holomorphic,
         "coeffs": [
-            {",".join(map(str, m)): [str(c.numerator), str(c.denominator)]
-             for m, c in sorted(d.items())}
+            {_key_text(m): [str(c.numerator), str(c.denominator)] for m, c in d.items()}
             for d in f.coeffs
         ],
     }
@@ -567,8 +579,7 @@ def to_payload(f: JacobiExpansion) -> dict:
 
 def from_payload(payload: dict) -> JacobiExpansion:
     orbit = [
-        {tuple(int(v) for v in key.split(",")): Fraction(int(num), int(den))
-         for key, (num, den) in d.items()}
+        {_text_key(key): Fraction(int(num), int(den)) for key, (num, den) in d.items()}
         for d in payload["coeffs"]
     ]
     if len(orbit) != payload["truncation"]:

@@ -2,11 +2,15 @@
 import csv
 import io
 import json
+import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 import e8jacobi.structure as st
-from e8jacobi import cli, genring
+from e8jacobi import cachestore, cli, genring
+from e8jacobi.expansion import to_payload
 
 EXPAND_A1_2 = ("1 + q*O_{1,240}^{[00000001]} "
                "+ q^2*O_{2,2160}^{[10000000]}")
@@ -141,13 +145,13 @@ def test_resource_exit_code(capsys):
     assert code == 2 and "resource limit" in err
 
 
-def test_cache_hit_matches_miss(capsys, tmp_path):
+def test_cache_hit_matches_miss(capsys, tmp_path, cache_rows):
     argv = ["expand", "A2", "2", "--cache-dir", str(tmp_path)]
     code1, out1, _ = run(capsys, argv)
     assert code1 == 0
-    stored = list(tmp_path.glob("*/*.json"))
-    assert len(stored) == 1 and stored[0].parent.name == "1"
-    payload = json.loads(stored[0].read_text())
+    stored = cache_rows.ids()
+    assert len(stored) == 1 and cache_rows.path.parent.name == "1"
+    payload = json.loads(cache_rows.read(stored[0]))
     assert payload["schema"] == "1"
     code2, out2, _ = run(capsys, argv)
     assert code2 == 0 and out2 == out1
@@ -191,62 +195,135 @@ def test_negative_range_argument(capsys):
         ["-20", "-22", "-24"]
 
 
-def test_expand_writes_one_cache_entry(capsys, tmp_path, monkeypatch):
+def test_expand_writes_one_cache_entry(capsys, tmp_path, monkeypatch, cache_rows):
     # Start without in-process monomial bodies, so each is built here.
     monkeypatch.setattr(genring, "_mono_cache", {})
     code, _, _ = run(capsys, ["expand", "A1^2 - A2*E4", "1",
                               "--cache-dir", str(tmp_path)])
     assert code == 0
-    assert len(list(tmp_path.glob("*/*.json"))) == 1
+    assert len(cache_rows.ids()) == 1
 
 
-def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, cache_rows):
     argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
     assert run(capsys, argv)[0] == 0
-    entry = tmp_path / "1" / "A1.json"
-    entry.write_text(entry.read_text()[:40])
+    cache_rows.write("A1", cache_rows.read("A1")[:40])
     code, out, _ = run(capsys, argv)
     assert code == 0 and out.strip() == EXPAND_A1_2
-    assert json.loads(entry.read_text())["form_id"] == "A1"
+    assert json.loads(cache_rows.read("A1"))["form_id"] == "A1"
 
 
 @pytest.mark.parametrize("text", [
     '{"schema": "1", "truncation": 9}',
     '{"schema": "1", "truncation": 9, "weight": 4, "index": 1, "holomorphic": true, '
     '"coeffs": []}'])
-def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, text):
+def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, cache_rows, text):
     # Entries without coeffs, or with fewer q-orders than their truncation.
-    entry = tmp_path / "1" / "A1.json"
-    entry.parent.mkdir()
-    entry.write_text(text)
+    cache_rows.write("A1", text)
     code, out, _ = run(capsys, ["expand", "A1", "2", "--cache-dir", str(tmp_path)])
     assert code == 0 and out.strip() == EXPAND_A1_2
-    assert json.loads(entry.read_text())["form_id"] == "A1"
+    assert json.loads(cache_rows.read("A1"))["form_id"] == "A1"
 
 
-def test_edited_cache_entry_is_recomputed(capsys, tmp_path):
+def test_edited_cache_entry_is_recomputed(capsys, tmp_path, cache_rows):
     # An entry that reads as a form but is not the named one (constant term
     # edited to 7) fails the check at z = 0 against E4: recomputed, overwritten.
     argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
     assert run(capsys, argv)[0] == 0
-    entry = tmp_path / "1" / "A1.json"
-    payload = json.loads(entry.read_text())
+    payload = json.loads(cache_rows.read("A1"))
     payload["coeffs"][0] = {"0,0,0,0,0,0,0,0": ["7", "1"]}
-    entry.write_text(json.dumps(payload))
+    cache_rows.write("A1", json.dumps(payload))
     code, out, _ = run(capsys, argv)
     assert code == 0 and out.strip() == EXPAND_A1_2
-    assert json.loads(entry.read_text())["coeffs"][0] == {"0,0,0,0,0,0,0,0": ["1", "1"]}
+    assert json.loads(cache_rows.read("A1"))["coeffs"][0] == {"0,0,0,0,0,0,0,0": ["1", "1"]}
 
 
-def test_truncated_monomial_entries_are_ignored(capsys, tmp_path, monkeypatch):
-    # Monomial bodies of "A1^2 - A2*E4" at order 1, as an older engine stored
-    # them on disk, truncated; they must never be read.
+def test_truncated_monomial_entries_are_ignored(capsys, tmp_path, monkeypatch, cache_rows):
+    # Monomial bodies of "A1^2 - A2*E4" at order 1, under the ids an older
+    # engine stored them by, truncated; they must never be read.
     argv = ["expand", "A1^2 - A2*E4", "1"]
     code, expected, _ = run(capsys, argv)
     assert code == 0
     monkeypatch.setattr(genring, "_mono_cache", {})
-    (tmp_path / "1").mkdir()
     for ab in ("1_0_0_0_0_0_0_0_0", "2_0_0_0_0_0_0_0_0", "0_1_0_0_0_0_0_0_0"):
-        (tmp_path / "1" / f"mono-{ab}@2.json").write_text('{"coeffs": [[')
+        cache_rows.write(f"mono-{ab}@2", '{"coeffs": [[')
     code, out, _ = run(capsys, argv + ["--cache-dir", str(tmp_path)])
     assert code == 0 and out == expected
+
+
+def test_expand_leaves_no_json_files(capsys, tmp_path):
+    code, _, _ = run(capsys, ["expand", "A1", "2", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "1" / "cache.sqlite").is_file()
+    assert list(tmp_path.rglob("*.json")) == []
+
+
+def _garbage(cache_rows, monkeypatch):
+    cache_rows.path.parent.mkdir()
+    cache_rows.path.write_bytes(b"not a database " * 300)
+
+
+def _truncated(cache_rows, monkeypatch):
+    # A database whose later pages, the A1 row among them, are cut off.
+    for i in range(30):
+        cache_rows.write(f"filler-{i}", "x" * 2000)
+    cache_rows.write("A1", '{"schema": "1"}')
+    os.truncate(cache_rows.path, cache_rows.path.stat().st_size // 2)
+
+
+def _locked(cache_rows, monkeypatch):
+    # Another connection holds an exclusive lock for the whole command.
+    monkeypatch.setattr(cachestore, "_TIMEOUT_S", 0.05)
+    cache_rows.path.parent.mkdir()
+    holder = sqlite3.connect(cache_rows.path, isolation_level=None)
+    holder.execute("CREATE TABLE t (x)")
+    holder.execute("BEGIN EXCLUSIVE")
+    return holder
+
+
+@pytest.mark.parametrize("damage", [_garbage, _truncated, _locked])
+def test_broken_database_is_a_miss(capsys, tmp_path, cache_rows, monkeypatch, damage):
+    # The form is recomputed without a traceback or a usage error, and once
+    # no lock holder is left, the entry is stored in a working database.
+    holder = damage(cache_rows, monkeypatch)
+    argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
+    code, out, err = run(capsys, argv)
+    if holder is not None:
+        holder.close()
+        assert run(capsys, argv)[0] == 0
+    assert code == 0 and out.strip() == EXPAND_A1_2 and err == ""
+    assert json.loads(cache_rows.read("A1"))["form_id"] == "A1"
+
+
+def _replace_with_empty_database(path):
+    other = path.with_name("other.sqlite")
+    with closing(sqlite3.connect(other)) as conn:
+        conn.execute("CREATE TABLE entries (id TEXT PRIMARY KEY, payload TEXT)")
+    os.replace(other, path)
+
+
+def _replace_with_garbage(path):
+    other = path.with_name("other.sqlite")
+    other.write_bytes(b"not a database " * 300)
+    os.replace(other, path)
+
+
+def _truncate_to_nothing(path):
+    os.truncate(path, 0)
+
+
+@pytest.mark.parametrize("damage", [_replace_with_empty_database, _replace_with_garbage,
+                                    _truncate_to_nothing])
+def test_broken_database_between_commands(capsys, tmp_path, cache_rows, damage):
+    # One process, two commands.  The first reads a stored A1 entry; the file
+    # then loses it.  The second must not be served through the connection
+    # the first opened: it recomputes A1 and stores it in the file now there.
+    payload = {**to_payload(genring.sakai_generators(3)["A1"]), "schema": "1",
+               "form_id": "A1"}
+    cache_rows.write("A1", json.dumps(payload))
+    argv = ["expand", "A1", "2", "--cache-dir", str(tmp_path)]
+    assert run(capsys, argv) == (0, EXPAND_A1_2 + "\n", "")
+    damage(cache_rows.path)
+    code, out, err = run(capsys, argv)
+    assert code == 0 and out.strip() == EXPAND_A1_2 and err == ""
+    assert json.loads(cache_rows.read("A1"))["form_id"] == "A1"

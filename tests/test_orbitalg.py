@@ -183,7 +183,7 @@ def test_orbit_pass_matches_unreduced(x, monkeypatch):
         assert orbitalg._orbit_pass(x, i) == ref
 
 
-def test_table_persistence_roundtrip(tmp_path, monkeypatch):
+def test_table_persistence_roundtrip(tmp_path, monkeypatch, cache_rows):
     # Start from empty tables, so the pass is built here whatever the session
     # loaded, and the session's own unsaved passes stay marked for its teardown.
     monkeypatch.setattr(orbitalg, "_mpass", {})
@@ -192,15 +192,13 @@ def test_table_persistence_roundtrip(tmp_path, monkeypatch):
     with config.using(cache_dir=str(tmp_path)):
         mono_to_orbit((0, 0, 0, 0, 0, 0, 0, 2))
         save_tables()
-        assert (tmp_path / "1" / "orbit-pass-table.json").is_file()
+        assert cache_rows.read("orbit-pass-table") is not None
 
 
-def test_truncated_table_loads_nothing(tmp_path, monkeypatch):
+def test_truncated_table_loads_nothing(tmp_path, monkeypatch, cache_rows):
     # An unreadable pass table is a cache miss: nothing loaded, nothing raised.
     monkeypatch.setattr(orbitalg, "_mpass", {})
-    entry = tmp_path / "1" / "orbit-pass-table.json"
-    entry.parent.mkdir()
-    entry.write_text('{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1"')
+    cache_rows.write("orbit-pass-table", '{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1"')
     with config.using(cache_dir=str(tmp_path)):
         orbitalg.load_tables()
     assert orbitalg._mpass == {}
@@ -208,12 +206,10 @@ def test_truncated_table_loads_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("text", ['{"0,0,0,0,0,0,0,0": [1]}',
                                   '{"0,0,0,0,0,0,0,0": {"1": {"0,0,0,0,0,0,0,1": "x"}}}'])
-def test_wrong_shape_table_loads_nothing(tmp_path, monkeypatch, text):
+def test_wrong_shape_table_loads_nothing(tmp_path, monkeypatch, cache_rows, text):
     # A pass table that is a JSON object of the wrong shape is a miss as well.
     monkeypatch.setattr(orbitalg, "_mpass", {})
-    entry = tmp_path / "1" / "orbit-pass-table.json"
-    entry.parent.mkdir()
-    entry.write_text(text)
+    cache_rows.write("orbit-pass-table", text)
     with config.using(cache_dir=str(tmp_path)):
         orbitalg.load_tables()
     assert orbitalg._mpass == {}

@@ -6,10 +6,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The tests that force an engine check to fail and expect its exception.
+# The tests that force an engine check to fail and expect its exception, and
+# those that hand the CLI a broken cache database.
 FAULT_TESTS = " or ".join((
     "checks_raise", "check_raises", "checks_its_count", "guard", "certificate",
-    "rejects_exponents", "overflow_raises", "division_errors"))
+    "rejects_exponents", "overflow_raises", "division_errors", "broken_database"))
 
 
 def test_fault_tests_pass_with_asserts_stripped():
