@@ -1,10 +1,14 @@
-"""Exact rational linear algebra: rank, kernel bases, reduced echelon forms, solving.
+"""Exact rational linear algebra: rank, kernel bases, reduced echelon forms,
+solving, and the independent rows of a list.
 
-Rows are first cleared to integers (`_int_rows`).  `rank` and `solve`
-forward-eliminate them with the fraction-free two-term (Bareiss) update.
-
-`kernel_basis` and `rref` share one certified multi-modular routine,
-`_certified_rref`:
+Rows are first cleared to primitive integer rows (`_int_rows`).  Every public
+entry point then runs the one certified multi-modular elimination,
+`_certified_rref`, and reads its answer off the certified RREF R, its pivot
+columns and its canonical kernel: `rank` is the number of rows of R,
+`kernel_basis` and `rref` return the kernel and R, `solve` reads the
+solution with free variables 0 off the RREF of [A | b], and
+`independent_rows` returns the pivot columns of the transpose's RREF.
+`_certified_rref` works in five steps:
 
 1. Elimination mod p.  The integer rows are brought to reduced row echelon
    form modulo primes p < 2**31 in numpy int64.  Residues stay below p, so
@@ -61,63 +65,12 @@ def _int_rows(matrix) -> list[list[int]]:
     return out
 
 
-def _echelon(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free elimination; returns (rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    prev = 1
-    nrows = len(rows)
-    for c in range(ncols):
-        best = None
-        for i in range(r, nrows):
-            v = rows[i][c]
-            if v and (best is None or abs(v).bit_length() < abs(rows[best][c]).bit_length()):
-                best = i
-        if best is None:
-            continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv_row = rows[r]
-        piv = piv_row[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if f:
-                for k in range(c + 1, ncols):
-                    row[k] = (piv * row[k] - f * piv_row[k]) // prev
-                row[c] = 0
-            else:
-                # rows untouched by the pivot still rescale by piv/prev to keep
-                # every entry a minor of the input (exactness of later //)
-                for k in range(c + 1, ncols):
-                    row[k] = piv * row[k] // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[: len(pivots)], pivots
-
-
-def rank(matrix, ncols: int | None = None) -> int:
-    rows = _int_rows(matrix)
-    if not rows:
-        return 0
-    n = ncols if ncols is not None else len(rows[0])
-    return len(_echelon(rows, n)[1])
-
-
-def _canonical(vec: list[Fraction]) -> tuple[int, ...]:
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
+def _canonical(ints: list[int]) -> tuple[int, ...]:
+    """The integer vector divided by its content, first nonzero entry positive."""
+    g = gcd(*ints)
+    if g > 1:
         ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
+    if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return tuple(ints)
 
@@ -193,11 +146,12 @@ def _reconstruct(u: int, m: int) -> Fraction | None:
 
 
 def _certified_rref(rows: list[list[int]], ncols: int) -> tuple[
-        list[list[Fraction]], list[tuple[int, ...]]]:
-    """(R, kernel) of nonzero integer rows: the nonzero rows of the RREF and
-    the canonical kernel basis, one vector per free column, certified exactly."""
+        list[int], list[list[Fraction]], list[tuple[int, ...]]]:
+    """(pivots, R, kernel) of nonzero integer rows: the pivot columns, the
+    nonzero rows of the RREF and the canonical kernel basis, one vector per
+    free column, certified exactly."""
     if not rows:
-        return [], [tuple(int(c == f) for c in range(ncols)) for f in range(ncols)]
+        return [], [], [tuple(int(c == f) for c in range(ncols)) for f in range(ncols)]
     ints = np.array(rows, dtype=object)
     h2 = 1  # squared Hadamard bound of every minor
     for n2 in sorted((sum(v * v for v in row) for row in rows), reverse=True)[:ncols]:
@@ -231,32 +185,46 @@ def _certified_rref(rows: list[list[int]], ncols: int) -> tuple[
         else:
             reduced, kernel = _read_off(values, pivots, free, ncols)
             if not kernel or not np.dot(ints, np.array(kernel, dtype=object).T).any():
-                return reduced, kernel
+                return pivots, reduced, kernel
         if modulus > 2 * h2:
             raise ArithmeticError("kernel verification failed")
 
 
 def _read_off(values: list[Fraction], pivots: list[int], free: list[int],
               ncols: int) -> tuple[list[list[Fraction]], list[tuple[int, ...]]]:
-    """R from its free-column entries (row-major), and the canonical x_f."""
+    """R from its free-column entries (row-major), and the canonical x_f,
+    each built in integers over the lcm of the denominators in column f."""
+    nfree = len(free)
     reduced = []
-    kernel = [[Fraction(0)] * ncols for _ in free]
-    for j, f in enumerate(free):
-        kernel[j][f] = Fraction(1)
-    it = iter(values)
-    for c in pivots:
+    for i, c in enumerate(pivots):
         row = [Fraction(0)] * ncols
         row[c] = Fraction(1)
-        for j, f in enumerate(free):
-            row[f] = v = next(it)
-            kernel[j][c] = -v
+        for f, v in zip(free, values[i * nfree:(i + 1) * nfree]):
+            row[f] = v
         reduced.append(row)
-    return reduced, [_canonical(x) for x in kernel]
+    kernel = []
+    for j, f in enumerate(free):
+        column = values[j::nfree]
+        den = lcm(*(v.denominator for v in column))
+        x = [0] * ncols
+        x[f] = den
+        for c, v in zip(pivots, column):
+            x[c] = -v.numerator * (den // v.denominator)
+        kernel.append(_canonical(x))
+    return reduced, kernel
+
+
+def rank(matrix, ncols: int | None = None) -> int:
+    """Rank over the rationals (`ncols` defaults to the length of the rows)."""
+    rows = _int_rows(matrix)
+    if not rows:
+        return 0
+    return len(_certified_rref(rows, len(rows[0]) if ncols is None else ncols)[0])
 
 
 def kernel_basis(matrix, ncols: int) -> list[tuple[int, ...]]:
     """Canonical basis of the right kernel, one vector per free column."""
-    return _certified_rref(_int_rows(matrix), ncols)[1]
+    return _certified_rref(_int_rows(matrix), ncols)[2]
 
 
 def rref(matrix, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -266,27 +234,32 @@ def rref(matrix, ncols: int) -> list[tuple[Fraction, ...]]:
     alone in its column.  The result depends only on the row span, so
     shuffling or rescaling the input rows yields the identical list.
     """
-    return [tuple(row) for row in _certified_rref(_int_rows(matrix), ncols)[0]]
+    return [tuple(row) for row in _certified_rref(_int_rows(matrix), ncols)[1]]
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
+    """One exact solution of A x = b (free variables set to 0), or None.
+
+    Read off the RREF of [A | b]: with pivot columns c_i, x[c_i] is the last
+    entry of row i; a pivot in the augmented column means no solution.
+    """
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(rows[0]) - 1 if rows else 0
-    irows = _int_rows(rows)
-    if not irows:
-        return [Fraction(0)] * ncols
-    ech, pivots = _echelon(irows, ncols + 1)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    x: list[Fraction] = [Fraction(0)] * (ncols + 1)
-    x[ncols] = Fraction(-1)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        row = ech[i]
-        acc = Fraction(0)
-        for k in range(c + 1, ncols + 1):
-            if row[k] and x[k]:
-                acc += row[k] * x[k]
-        x[c] = -acc / row[c]
-    return x[:ncols]
+    pivots, reduced, _ = _certified_rref(_int_rows(rows), ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in zip(pivots, reduced):
+        x[c] = row[ncols]
+    return x
+
+
+def independent_rows(matrix, ncols: int) -> list[int]:
+    """Indices of the rows that are not combinations of the rows before them.
+
+    Row i is such a row iff column i of the transpose is a pivot column of its
+    RREF, and the certificate of `_certified_rref` proves those pivots.  Zero
+    rows are never independent.
+    """
+    return _certified_rref(_int_rows([[row[c] for row in matrix] for c in range(ncols)]),
+                           len(matrix))[0]

@@ -120,7 +120,9 @@ def obstruction_channels(t: int) -> list[tuple[int, tuple[int, ...]]]:
             continue
         for n in range(-(-norm(x) // (2 * t))):
             out.append((n, x))
-    assert len(out) == delta_t(t)
+    if len(out) != delta_t(t):
+        raise ArithmeticError(f"{len(out)} obstruction channels at index {t}, "
+                              f"not delta_t = {delta_t(t)}")
     return out
 
 
@@ -224,8 +226,8 @@ class WeakSpace:
         return [GeneratorPolynomial(d) for d in per_slot]
 
     def numerator(self, vec) -> JacobiExpansion:
-        assert self.column_expansions is not None, \
-            "column expansions were released; rebuild the space"
+        if self.column_expansions is None:
+            raise ArithmeticError("column expansions were released; rebuild the space")
         return combine(vec, self.column_expansions)
 
     def form(self, vec) -> JacobiExpansion:
@@ -233,7 +235,9 @@ class WeakSpace:
         f = div_delta(self.numerator(vec), self.n_power)
         for _ in range(self.slots[-1].j):
             f = div_e4(f)
-        assert (f.weight, f.index) == (self.weight, self.index)
+        if (f.weight, f.index) != (self.weight, self.index):
+            raise ArithmeticError(f"weak form of bidegree {(f.weight, f.index)} in the "
+                                  f"space of bidegree {(self.weight, self.index)}")
         return f
 
     def basis_forms(self) -> list[JacobiExpansion]:
@@ -316,10 +320,12 @@ def min_weight(t: int, trunc: int | None = None) -> int:
         else:
             consecutive += 1
             if consecutive == 2:
-                assert last is not None
+                if last is None:
+                    raise ArithmeticError(f"no weak forms of index {t} at weights 4 and 2")
                 return last
         k -= 2
-        assert k >= -5 * t - 8, "scan descended past the prior weight bound"
+        if k < -5 * t - 8:
+            raise ArithmeticError("scan descended past the prior weight bound")
 
 
 # -- module generators --------------------------------------------------------
@@ -412,8 +418,9 @@ def _cert_vector(cert: list[GeneratorPolynomial], space: WeakSpace) -> list[Frac
     for j, poly in enumerate(cert):
         for expo, c in poly.terms.items():
             i = lookup.get((j, expo))
-            assert i is not None, \
-                f"slot {j} monomial {expo} is not admissible in the target space"
+            if i is None:
+                raise ArithmeticError(
+                    f"slot {j} monomial {expo} is not admissible in the target space")
             vec[i] = c
     return vec
 
@@ -459,13 +466,12 @@ def module_generators(t: int, trunc: int | None = None) -> ModuleDescription:
         if space.dim and k_min is None:
             k_min = k
         image = _image_vectors(space, spaces.get(k - 4), spaces.get(k - 6))
-        ncols = len(space.columns)
-        rank_img = linalg.rank(image, ncols) if image else 0
-        if image:
-            combined = [list(v) for v in space.kernel] + image
-            if linalg.rank(combined, ncols) != space.dim:
-                raise ArithmeticError("Eisenstein image escaped the kernel span")
-        d_k = space.dim - rank_img
+        # the independent rows of image + kernel: those in the image count its
+        # rank, and all of them span image + kernel, which must be the kernel
+        picked = linalg.independent_rows(image + space.kernel, len(space.columns))
+        if len(picked) != space.dim:
+            raise ArithmeticError("Eisenstein image escaped the kernel span")
+        d_k = space.dim - sum(1 for i in picked if i < len(image))
         counts[k] = d_k
         total += d_k
         if d_k:
@@ -474,7 +480,8 @@ def module_generators(t: int, trunc: int | None = None) -> ModuleDescription:
     if total != expected:
         raise ArithmeticError(
             f"generator count {total} at index {t} does not match the rank {expected}")
-    assert k_min is not None
+    if k_min is None:
+        raise ArithmeticError(f"no weak forms of index {t} in weights {start}..4")
     return ModuleDescription(t, counts, generators, k_min,
                              {k: spaces[k].dim for k in weights})
 
@@ -497,22 +504,14 @@ def _select_generators(space: WeakSpace, image: list[list[Fraction]],
     ncols = len(space.columns)
     candidates = [row[len(support):] for row in
                   linalg.rref(rows, len(support) + ncols)]
-    selected: list[Generator] = []
-    span = [list(v) for v in image]
-    current = linalg.rank(span, ncols) if span else 0
-    for cand in candidates:
-        if len(selected) == d_k:
-            break
-        trial = span + [list(cand)]
-        r = linalg.rank(trial, ncols)
-        if r > current:
-            span, current = trial, r
-            selected.append(Generator(space.weight, space.certificate(cand),
-                                      space.form(cand)))
+    # the candidates independent modulo the image and the candidates before them
+    picked = linalg.independent_rows(image + candidates, ncols)
+    selected = [candidates[i - len(image)] for i in picked if i >= len(image)]
     if len(selected) != d_k:
         raise ArithmeticError(f"generator selection found {len(selected)} of "
                               f"{d_k} generators in weight {space.weight}")
-    return selected
+    return [Generator(space.weight, space.certificate(c), space.form(c))
+            for c in selected]
 
 
 def gen_series(t: int, order: int = 20, module: ModuleDescription | None = None,
@@ -595,7 +594,8 @@ class SingularSpace:
         """
         m = tuple(m)
         channels = dominant_by_norm(self.index)
-        assert m in channels, "m must be dominant of squared norm 2t"
+        if m not in channels:
+            raise ValueError(f"{m} is not dominant of squared norm {2 * self.index}")
         rows = [[b.coeff(0, ZERO) for b in self.basis]]
         rhs = [Fraction(1)]
         for x in channels:
@@ -681,9 +681,11 @@ def singular_solve(t: int, delta_power: int | None = None,
                    for i in range(len(channels))]
     basis = [x_t]
     base_rows = [x_row]
-    for row in reduced:
-        if linalg.rank(base_rows + [list(row)], len(channels)) == len(base_rows):
-            continue
+    # Each form appended below has coordinates row - c0 * x_row, so base_rows
+    # spans x_row and the rows taken so far: the rows to take are the
+    # independent rows of [x_row] + reduced after x_row itself.
+    picked = linalg.independent_rows([x_row] + reduced, len(channels))
+    for row in [reduced[i - 1] for i in picked if i]:
         lift = linalg.solve(lift_system, list(row))
         if lift is None:
             raise ArithmeticError(f"singular basis row at index {t} has no lift")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from e8jacobi import linalg
-from e8jacobi.linalg import kernel_basis, rank, rref, solve
+from e8jacobi.linalg import independent_rows, kernel_basis, rank, rref, solve
 
 
 def ref_rref(matrix, ncols):
@@ -202,6 +202,83 @@ def test_solve_consistent_and_inconsistent():
             m2 = m + [m[i]]
             bad = solve(m2, bad_b + [b[i] + 1])
             assert bad is None
+
+
+def ref_independent_rows(matrix, ncols):
+    """Greedy reference: keep a row when it raises the reference rank."""
+    kept, out = [], []
+    for i, row in enumerate(matrix):
+        if len(ref_rref(kept + [row], ncols)) > len(kept):
+            kept.append(row)
+            out.append(i)
+    return out
+
+
+def ref_solve(matrix, rhs):
+    """The solution with free variables 0, read off the reference RREF of [A | b]."""
+    ncols = len(matrix[0])
+    red = ref_rref([list(row) + [b] for row, b in zip(matrix, rhs)], ncols + 1)
+    x = [Fraction(0)] * ncols
+    for row in red:
+        c = next(c for c, v in enumerate(row) if v)
+        if c == ncols:
+            return None
+        x[c] = row[ncols]
+    return x
+
+
+def test_independent_rows_cases():
+    half = Fraction(1, 2)
+    assert independent_rows([], 3) == []
+    assert independent_rows([[0, 0, 0], [0, 0, 0]], 3) == []
+    assert independent_rows([[0, 0], [1, 2], [0, 0], [2, 4], [1, 2]], 2) == [1]
+    # Fraction rows: the third is half the first plus the second
+    m = [[half, Fraction(1, 3), 0], [0, 1, Fraction(-2, 7)],
+         [Fraction(1, 4), Fraction(7, 6), Fraction(-2, 7)], [0, 0, Fraction(5, 9)]]
+    assert independent_rows(m, 3) == [0, 1, 3]
+    # Row 0 is the sum of rows 1 and 2 but precedes them: only row 2 drops
+    assert independent_rows([[1, 1, 0], [1, 0, 0], [0, 1, 0]], 3) == [0, 1]
+    for m in ([[1, 2, 3]] * 3, [[0, 1], [0, 1], [1, 0]]):
+        assert independent_rows(m, len(m[0])) == ref_independent_rows(m, len(m[0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(hs.lists(hs.fractions(min_value=-3, max_value=3, max_denominator=3),
+                         min_size=4, max_size=4), max_size=7),
+       hs.lists(hs.tuples(hs.integers(0, 6), hs.integers(0, 6),
+                          hs.fractions(min_value=-2, max_value=2, max_denominator=2)),
+                max_size=4))
+def test_independent_rows_matches_greedy_rank(m, combos):
+    # Append combinations of earlier rows, and zero rows, to force dependencies.
+    for i, j, c in combos:
+        if m:
+            m.append([a + c * b for a, b in zip(m[i % len(m)], m[j % len(m)])])
+        else:
+            m.append([0] * 4)
+    assert independent_rows(m, 4) == ref_independent_rows(m, 4)
+
+
+def test_solve_matches_reference_gauss_jordan():
+    rng = random.Random(13)
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_matrix(rng, nrows, ncols, density=0.6)
+        if rng.random() < 0.5:  # a consistent right-hand side
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
+            b = [sum(a * v for a, v in zip(row, x)) for row in m]
+        else:
+            b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nrows)]
+        assert solve(m, b) == ref_solve(m, b)
+
+
+def test_rank_without_ncols():
+    assert rank([]) == 0
+    assert rank([[0, 0, 0]]) == 0
+    assert rank([[1, 2, 3], [2, 4, 6], [0, 0, Fraction(1, 3)]]) == 2
+    rng = random.Random(17)
+    for _ in range(20):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        assert rank(m) == len(ref_rref(m, len(m[0])))
 
 
 small_matrix = hs.lists(

@@ -1,6 +1,7 @@
 """Structure layer: dimension tables, weak/holomorphic bases, singular forms."""
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -164,9 +165,53 @@ def test_singular_theta_check_raises(gens6, monkeypatch):
 def test_select_generators_checks_raise(gens6, monkeypatch):
     space = st.weak_basis(-8, 3, trunc=st.n_cap(3) + 1)
     assert space.dim
-    monkeypatch.setattr(st.linalg, "rank", lambda rows, ncols=None: 0)
+    monkeypatch.setattr(st.linalg, "independent_rows", lambda rows, ncols: [])
     with pytest.raises(ArithmeticError, match="found 0 of 1 generators in weight -8"):
         st._select_generators(space, [], 1)
+
+
+def test_obstruction_channels_checks_raise(monkeypatch):
+    monkeypatch.setattr(st, "delta_t", lambda t: 3)
+    with pytest.raises(ArithmeticError, match="2 obstruction channels at index 2"):
+        st.obstruction_channels(2)
+
+
+def test_weak_space_checks_raise(gens6):
+    space = st.weak_basis(-8, 3, trunc=st.n_cap(3) + 1)
+    vec = space.kernel[0]
+    with pytest.raises(ArithmeticError, match="slot 0 monomial .* is not admissible"):
+        st._cert_vector([st._E4_MONO], space)
+    space.weight += 2
+    with pytest.raises(ArithmeticError, match="bidegree \\(-8, 3\\) in the space "
+                                              "of bidegree \\(-6, 3\\)"):
+        space.form(vec)
+    space.release()
+    with pytest.raises(ArithmeticError, match="released"):
+        space.numerator(vec)
+
+
+def test_min_weight_checks_raise(monkeypatch):
+    monkeypatch.setattr(st, "weak_basis", lambda k, t, trunc: SimpleNamespace(dim=0))
+    with pytest.raises(ArithmeticError, match="no weak forms of index 2 at weights 4 and 2"):
+        st.min_weight(2)
+    monkeypatch.setattr(st, "weak_basis", lambda k, t, trunc: SimpleNamespace(dim=1))
+    with pytest.raises(ArithmeticError, match="past the prior weight bound"):
+        st.min_weight(2)
+
+
+def test_module_minimal_weight_checks_raise(monkeypatch):
+    # Every weak space empty and a rank of 0 expected: no minimal weight.
+    monkeypatch.setattr(st, "weak_basis",
+                        lambda k, t, trunc: st.WeakSpace(k, t, 0, trunc, [], [], [], []))
+    monkeypatch.setattr(st, "rank_r", lambda t: [0] * (t + 1))
+    with pytest.raises(ArithmeticError, match="no weak forms of index 2 in weights -10..4"):
+        st.module_generators(2, trunc=4)
+
+
+def test_phi_checks_raise(gens6):
+    space = st.singular_solve(2)
+    with pytest.raises(ValueError, match="not dominant of squared norm 4"):
+        space.phi(ZERO)
 
 
 def test_holo_dim_two_routes(gens6):
