@@ -5,6 +5,10 @@ given its flags; JSON output has sorted keys and reduced fractions.  Exit
 codes: 0 success, 1 mathematical mismatch (a witness is printed), 2 resource
 or truncation limit, 3 usage error.
 
+Each command family lists its variants once (`_TABLES`, `_VERIFY`) and the
+parser reads its choices from there; the least truncations are the rules
+`structure.weak_trunc` and `singular_trunc`, which `_truncation` applies.
+
 Expansions requested by name or polynomial text are cached on disk as rows
 of the SQLite database ``<cache-dir>/<schema-version>/cache.sqlite`` (see
 `cachestore`), keyed by the form id: the name itself or a content hash of the
@@ -35,7 +39,7 @@ from .genring import (DELTA_POLY, GEN_ORDER, NAMED_POLYNOMIALS, WEAK_INDEX2,
                       WEAK_INDEX3, GeneratorPolynomial, expand as expand_poly,
                       pivot_identity_residual, reduction_obstruction_e4sq,
                       restriction_at_zero, sakai_generators)
-from .lattice import FUNDAMENTAL, ZERO, dominant_by_norm, norm
+from .lattice import FUNDAMENTAL, dominant_by_norm, norm
 from .qseries import QSeries, eisenstein
 
 EXIT_OK = 0
@@ -45,10 +49,6 @@ EXIT_USAGE = 3
 
 _GENERATOR_NAMES = ("A1", "A2", "A3", "A4", "A5",
                     "B2", "B3", "B4", "B5HAT", "B6", "E4", "E6")
-
-# Feasibility cutoffs for on-demand tables; beyond them a gap marker is
-# printed instead of grinding (or overflowing) for hours.
-_TABLE_LIMITS = {"ranks": 300, "delta": 60, "norms": 200, "singular-dims": 11}
 
 # Hard desk-scale caps on the lattice index for space computations; past
 # these the column counts explode and the process would die, not finish.
@@ -83,19 +83,20 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
+def _truncation(rule: int) -> int:
+    """The configured truncation, raised to the least one `rule` (a
+    `structure.*_trunc`) allows."""
+    return max(config.get_config().truncation, rule)
+
+
 # -- output plumbing ---------------------------------------------------------
-
-def _fmt(args) -> str:
-    return args.format or config.get_config().fmt
-
 
 def _emit(args, *, text, data, rows=None, header=None) -> None:
     """Print `data` as JSON, `rows` as CSV or `text`, as the format asks.  Each
     may be a function of no arguments, so only the printed rendering is built."""
-    fmt = _fmt(args)
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(_built(data), sort_keys=True, default=str))
-    elif fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(sys.stdout)
         if header:
             writer.writerow(header)
@@ -113,24 +114,11 @@ def _expansion_str(f: JacobiExpansion) -> str:
     """One-line rendering: 1 + q*O_{1,240}^{[00000001]} + q^2*(...)."""
     parts = []
     for n in range(f.trunc):
-        d = f.coeffs[n]
-        terms = []
-        for m in sorted(d, key=lambda m: (norm(m), m)):
-            c = d[m]
-            if m == ZERO:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(orbit_symbol(m))
-            else:
-                terms.append(f"{c}*{orbit_symbol(m)}")
-        if not terms:
+        if not f.coeffs[n]:
             continue
-        body = " + ".join(terms)
-        if n == 0:
-            parts.append(body if len(terms) == 1 else f"({body})")
-        else:
-            qpow = "q" if n == 1 else f"q^{n}"
-            parts.append(f"{qpow}*{body}" if len(terms) == 1 else f"{qpow}*({body})")
+        body = f.term_str(n) if len(f.coeffs[n]) == 1 else f"({f.term_str(n)})"
+        qpow = "" if n == 0 else "q*" if n == 1 else f"q^{n}*"
+        parts.append(qpow + body)
     return " + ".join(parts) if parts else "0"
 
 
@@ -231,10 +219,18 @@ def _table_range(args, default_lo: int, default_hi: int) -> tuple[int, int]:
 
 
 def _singular_dimension(t: int) -> int:
-    d = max(st.n_cap(t) - 1, 0)
-    required = max(d + st.m_cap(t), d + 2)
-    trunc = max(required, config.get_config().truncation)
-    return st.singular_solve(t, trunc=trunc).dimension
+    return st.singular_solve(t, trunc=_truncation(st.singular_trunc(t))).dimension
+
+
+# name -> (column label, default largest index, cutoff, value at index t).
+# Past the cutoff a gap marker is printed instead of grinding (or
+# overflowing) for hours.
+_TABLES = {
+    "ranks": ("r(t)", 18, 300, lambda t: st.rank_r(t)[t]),
+    "delta": ("delta(t)", 18, 60, st.delta_t),
+    "singular-dims": ("H(t)", 7, 11, _singular_dimension),
+    "norms": ("N(t)", 23, 200, st.orbit_count_norm),
+}
 
 
 def cmd_tables(args) -> int:
@@ -254,23 +250,9 @@ def cmd_tables(args) -> int:
               header=("weight", "threshold", "stable_count"))
         return EXIT_OK
 
-    defaults = {"ranks": 18, "delta": 18, "norms": 23, "singular-dims": 7}
-    funcs = {
-        "ranks": lambda t: st.rank_r(t)[t],
-        "delta": st.delta_t,
-        "norms": st.orbit_count_norm,
-        "singular-dims": _singular_dimension,
-    }
-    lo, hi = _table_range(args, 1, defaults[which])
-    limit = _TABLE_LIMITS[which]
-    rows = []
-    for t in range(lo, hi + 1):
-        if t < 1 or t > limit:
-            rows.append((t, "-"))
-        else:
-            rows.append((t, funcs[which](t)))
-    label = {"ranks": "r(t)", "delta": "delta(t)",
-             "norms": "N(t)", "singular-dims": "H(t)"}[which]
+    label, default_max, cutoff, value = _TABLES[which]
+    lo, hi = _table_range(args, 1, default_max)
+    rows = [(t, value(t) if 1 <= t <= cutoff else "-") for t in range(lo, hi + 1)]
     width = max(len(label), max(len(str(v)) for _, v in rows))
     text = (f"{'t':>4}  {label:>{width}}\n"
             + "\n".join(f"{t:>4}  {str(v):>{width}}" for t, v in rows))
@@ -393,10 +375,10 @@ def _verify_lemma34(trunc: int):
     return True, lines, None
 
 
-def _verify_listed_generators(t: int, table: dict, trunc: int):
+def _verify_listed_generators(t: int, table: dict, _trunc: int):
     """The frozen small-index generators span the canonical module choices."""
     n_pow = st.n_cap(t)
-    trunc = max(trunc, n_pow + 1)
+    trunc = _truncation(st.weak_trunc(t))
     mod = st.module_generators(t, trunc)
     lines = []
     for k in sorted(table):
@@ -412,16 +394,16 @@ def _verify_listed_generators(t: int, table: dict, trunc: int):
         image = st._image_vectors(space,
                                   st.weak_basis(k - 4, t, trunc),
                                   st.weak_basis(k - 6, t, trunc))
-        rk_img = linalg.rank(image, ncols) if image else 0
-        if linalg.rank(image + [vec], ncols) != rk_img + 1:
+        chosen = mod.generators.get(k, [])
+        selvec = [st._cert_vector(chosen[0].certificate, space)] if len(chosen) == 1 else []
+        # new modulo the image, and the computed generator in the image + vec
+        picked = linalg.independent_rows(image + [vec] + selvec, ncols)
+        if len(image) not in picked:
             return False, [], (f"index {t} weight {k}: listed form is a "
                                f"combination of lower-weight forms")
-        chosen = mod.generators.get(k, [])
-        if len(chosen) == 1:
-            selvec = st._cert_vector(chosen[0].certificate, space)
-            if linalg.rank(image + [vec, selvec], ncols) != rk_img + 1:
-                return False, [], (f"index {t} weight {k}: listed form spans a "
-                                   f"different new line than the computed one")
+        if selvec and len(image) + 1 in picked:
+            return False, [], (f"index {t} weight {k}: listed form spans a "
+                               f"different new line than the computed one")
         lines.append(f"index {t} weight {k}: listed generator confirmed")
     series = mod.series(6)
     for k in range(mod.min_weight, 7, 2):
@@ -441,37 +423,32 @@ def _verify_lemma62(_trunc: int):
     return False, [], f"pairing values {values} != {st.EXPECTED_PAIRING}"
 
 
-def _verify_conjectures(_trunc: int, max_index: int = 3):
-    report = st.conjecture_report(range(1, max_index + 1))
+def _verify_conjectures(_trunc: int):
+    report = st.conjecture_report(range(1, 4))
     return report["ok"], st.report_text(report).splitlines(), \
         None if report["ok"] else "see report above"
 
 
-_VERIFY_DEFAULT_ORDER = {"lemma31": 2, "p165-holo": 3, "lemma34": 2,
-                         "eq43": None, "eq44": None, "lemma62": None,
-                         "conjectures": None}
+# check -> (highest q-order when --order is not given, or None for the
+# configured one; check of a truncation returning (ok, lines, witness))
+_VERIFY = {
+    "lemma31": (2, _verify_lemma31),
+    "p165-holo": (3, _verify_p165_holo),
+    "lemma34": (2, _verify_lemma34),
+    "eq43": (None, functools.partial(_verify_listed_generators, 2, WEAK_INDEX2)),
+    "eq44": (None, functools.partial(_verify_listed_generators, 3, WEAK_INDEX3)),
+    "lemma62": (None, _verify_lemma62),
+    "conjectures": (None, _verify_conjectures),
+}
 
 
 def cmd_verify(args) -> int:
     check = args.check
-    default = _VERIFY_DEFAULT_ORDER[check]
+    default, run_check = _VERIFY[check]
     trunc = config.get_config().truncation
     if args.order is None and default is not None:
         trunc = default + 1
-    if check == "lemma31":
-        ok, lines, witness = _verify_lemma31(trunc)
-    elif check == "p165-holo":
-        ok, lines, witness = _verify_p165_holo(trunc)
-    elif check == "lemma34":
-        ok, lines, witness = _verify_lemma34(trunc)
-    elif check == "eq43":
-        ok, lines, witness = _verify_listed_generators(2, WEAK_INDEX2, trunc)
-    elif check == "eq44":
-        ok, lines, witness = _verify_listed_generators(3, WEAK_INDEX3, trunc)
-    elif check == "lemma62":
-        ok, lines, witness = _verify_lemma62(trunc)
-    else:
-        ok, lines, witness = _verify_conjectures(trunc)
+    ok, lines, witness = run_check(trunc)
     status = "pass" if ok else "FAIL"
     text = "\n".join(lines + [f"{check}: {status}"]
                      + ([f"witness: {witness}"] if witness else []))
@@ -495,14 +472,11 @@ def cmd_basis(args) -> int:
     t = args.index
     kind = args.kind
     _check_index_budget(kind, t)
-    cfg_trunc = config.get_config().truncation
     if kind in ("weak", "holo") and args.weight is None:
         raise UsageError(f"basis {kind} requires --weight")
 
     if kind == "singular":
-        d = max(st.n_cap(t) - 1, 0)
-        required = max(d + st.m_cap(t), d + 2)
-        space = st.singular_solve(t, trunc=max(required, cfg_trunc))
+        space = st.singular_solve(t, trunc=_truncation(st.singular_trunc(t)))
         lines = [f"dimension {space.dimension}"]
         elements = []
         for m in dominant_by_norm(t):
@@ -524,13 +498,13 @@ def cmd_basis(args) -> int:
 
     k = args.weight
     if kind == "holo":
-        dim = st.holo_dim(k, t, max(cfg_trunc, st.n_cap(t) + 1))
+        dim = st.holo_dim(k, t, _truncation(st.weak_trunc(t)))
         _emit(args, text=f"dimension {dim}",
               data={"kind": kind, "weight": k, "index": t, "dimension": dim},
               rows=[(t, k, dim)], header=("index", "weight", "dimension"))
         return EXIT_OK
 
-    space = st.weak_basis(k, t, max(cfg_trunc, st.n_cap(t) + 1))
+    space = st.weak_basis(k, t, _truncation(st.weak_trunc(t)))
     lines = [f"dimension {space.dim}"]
     elements = []
     for vec in space.kernel:
@@ -550,7 +524,7 @@ def cmd_basis(args) -> int:
 def cmd_generators(args) -> int:
     t = args.index
     _check_index_budget("weak", t)
-    trunc = max(config.get_config().truncation, st.n_cap(t) + 1)
+    trunc = _truncation(st.weak_trunc(t))
     mod = st.module_generators(t, trunc)
     lines = [mod.weight_poly_str()]
     if args.certificates:
@@ -575,7 +549,7 @@ def cmd_series(args) -> int:
     t = args.index
     order = args.to
     _check_index_budget("weak", t)
-    trunc = max(config.get_config().truncation, st.n_cap(t) + 1)
+    trunc = _truncation(st.weak_trunc(t))
     series = st.gen_series(t, order, trunc=trunc)
     text = st._laurent_str(series)
     data = {"index": t, "order": order,
@@ -596,9 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache-dir", default=None,
                         help="expansion cache directory (default $E8JACOBI_CACHE)")
     common.add_argument("--format", choices=("text", "json", "csv"),
-                        default=None, help="output format (default text)")
-    common.add_argument("--max-shell-norm", type=int, default=None,
-                        help="memory guard for explicit shell enumeration")
+                        default="text", help="output format (default text)")
 
     parser = _Parser(prog="e8jacobi",
                      description="Exact computer algebra for Weyl-invariant "
@@ -607,8 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", parents=[common],
                        help="print the engine's standard integer tables")
-    p.add_argument("which", choices=("ranks", "delta", "singular-dims",
-                                     "norms", "stability"))
+    p.add_argument("which", choices=(*_TABLES, "stability"))
     p.add_argument("--max", type=int, default=None, help="largest index")
     p.add_argument("--range", default=None, help="LO:HI inclusive")
     p.set_defaults(func=cmd_tables)
@@ -625,8 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="check one of the engine's frozen identities")
-    p.add_argument("check", choices=("lemma31", "p165-holo", "lemma34",
-                                     "eq43", "eq44", "lemma62", "conjectures"))
+    p.add_argument("check", choices=tuple(_VERIFY))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("basis", parents=[common],
@@ -669,10 +639,6 @@ def main(argv=None) -> int:
         overrides["truncation"] = order + 1
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
-    if args.format is not None:
-        overrides["fmt"] = args.format
-    if args.max_shell_norm is not None:
-        overrides["max_shell_norm"] = args.max_shell_norm
 
     try:
         with config.using(**overrides):

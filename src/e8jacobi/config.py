@@ -1,4 +1,8 @@
-"""Process-wide engine configuration."""
+"""Process-wide engine configuration: the series truncation and the cache dir.
+
+These two are read deep inside the engine.  Choices that only the command line
+makes, such as the output format, stay on the parsed arguments.
+"""
 from __future__ import annotations
 
 import os
@@ -20,8 +24,6 @@ class TruncationError(RuntimeError):
 class EngineConfig:
     truncation: int = DEFAULT_TRUNC
     cache_dir: str | None = os.environ.get("E8JACOBI_CACHE")
-    max_shell_norm: int = 16
-    fmt: str = "text"
 
 
 _current = EngineConfig()

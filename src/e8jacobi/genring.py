@@ -80,13 +80,15 @@ class GeneratorPolynomial:
     @property
     def weight(self) -> int:
         grades = {weight_of(e) for e in self.terms}
-        assert len(grades) == 1, "polynomial is not weight-homogeneous"
+        if len(grades) != 1:
+            raise ValueError("polynomial is not weight-homogeneous")
         return grades.pop()
 
     @property
     def index(self) -> int:
         grades = {index_of(e) for e in self.terms}
-        assert len(grades) == 1, "polynomial is not index-homogeneous"
+        if len(grades) != 1:
+            raise ValueError("polynomial is not index-homogeneous")
         return grades.pop()
 
     def __add__(self, other: "GeneratorPolynomial") -> "GeneratorPolynomial":
@@ -335,7 +337,8 @@ def _partial_generators(trunc: int) -> dict[str, JacobiExpansion]:
         "B6": level_trace(6, trunc),
     }
     for name in ("A1", "A2", "A3", "A4", "A5"):
-        assert gens[name].coeff(0) == 1
+        if gens[name].coeff(0) != 1:
+            raise ArithmeticError(f"{name} has constant term {gens[name].coeff(0)}, not 1")
     return gens
 
 

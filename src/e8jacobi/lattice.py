@@ -15,7 +15,7 @@ from math import factorial, isqrt
 
 import numpy as np
 
-from . import config
+from .config import TruncationError
 
 RANK = 8
 WEYL_ORDER = 696_729_600
@@ -140,7 +140,9 @@ _ENC_POW = (_ENC_BASE ** np.arange(RANK - 1, -1, -1)).astype(np.int64)
 
 def encode(arr: np.ndarray) -> np.ndarray:
     """Pack rows of small-coordinate vectors into distinct int64 keys."""
-    assert np.abs(arr).max(initial=0) < _ENC_BASE // 2
+    if np.abs(arr).max(initial=0) >= _ENC_BASE // 2:
+        # a larger coordinate carries into the next digit: keys would collide
+        raise ArithmeticError(f"coordinate beyond the key range +-{_ENC_BASE // 2 - 1}")
     return (arr + _ENC_BASE // 2) @ _ENC_POW
 
 
@@ -277,6 +279,9 @@ def _ldl(mat) -> tuple[list[Fraction], list[list[Fraction]]]:
 
 
 _SHELL_D, _SHELL_L = _ldl(CARTAN)
+# Largest squared norm `shell` enumerates: the norm-16 shell has 240 * 585
+# vectors; each next shell is larger still and nothing in the engine asks for it.
+_SHELL_GUARD = 16
 
 
 def shell(n: int) -> np.ndarray:
@@ -290,11 +295,10 @@ def shell(n: int) -> np.ndarray:
         return np.zeros((0, RANK), dtype=np.int64)
     if n == 0:
         return np.zeros((1, RANK), dtype=np.int64)
-    limit = config.get_config().max_shell_norm
-    if 2 * n > limit:
-        raise config.TruncationError(
+    if 2 * n > _SHELL_GUARD:
+        raise TruncationError(
             f"shell of squared norm {2 * n} exceeds the memory guard "
-            f"(max_shell_norm = {limit}); raise it to enumerate this shell")
+            f"(squared norm {_SHELL_GUARD})")
     target = Fraction(2 * n)
     sols: list[list[int]] = []
     coords = [0] * RANK

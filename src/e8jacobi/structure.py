@@ -47,6 +47,11 @@ _INDEX_DEGREES = ((1, 1), (2, 2), (3, 2), (4, 2), (5, 1), (6, 1))
 
 # -- elementary counting ------------------------------------------------------
 
+def _check_index(t: int) -> None:
+    if t < 1:
+        raise ValueError(f"lattice index must be >= 1, not {t}")
+
+
 def rank_r(t_max: int) -> list[int]:
     """Ranks r(0..t_max) of the index-graded free modules of weak forms.
 
@@ -54,7 +59,8 @@ def rank_r(t_max: int) -> list[int]:
     (1-x)(1-x^2)^2(1-x^3)^2(1-x^4)^2(1-x^5)(1-x^6): the number of monomials
     of total lattice index t in the nine basic forms.
     """
-    assert t_max >= 0
+    if t_max < 0:
+        raise ValueError(f"largest index must be >= 0, not {t_max}")
     denom = [0] * (t_max + 1)
     denom[0] = 1
     for d, mult in _INDEX_DEGREES:
@@ -75,21 +81,27 @@ def delta_t(t: int) -> int:
     the number of coefficient conditions a weak form of index t must satisfy
     to be holomorphic (for weights >= 6 they are independent).
     """
-    assert t >= 1
+    _check_index(t)
     return sum(-(-norm(x) // (2 * t)) for x in dominant_by_T(t) if x != ZERO)
 
 
 def t1(t: int) -> int:
     """Number of E4 factors cleared from the denominator: floor(t/5)."""
-    assert t >= 1
+    _check_index(t)
     return t // 5
 
 
 def n_cap(t: int) -> int:
     """Power N_t of the cusp form in the canonical denominator."""
-    assert t >= 1
+    _check_index(t)
     t0, r = divmod(t, 6)
     return 5 * t0 + (0, 0, 1, 2, 3, 3)[r]
+
+
+def weak_trunc(t: int) -> int:
+    """Least truncation of a weak basis at index t: the numerator over
+    Delta^N vanishes to q^N, N = n_cap(t), so orders q^0..q^N are read."""
+    return n_cap(t) + 1
 
 
 def m_cap(t: int) -> int:
@@ -98,8 +110,21 @@ def m_cap(t: int) -> int:
     The ceiling of (x,x)/2t over dominant x with T(x) <= t: past this order a
     singular-support expansion carries no further free coefficients.
     """
-    assert t >= 1
+    _check_index(t)
     return -(-max_norm_by_T(t) // (2 * t))
+
+
+def _reduced_delta_power(t: int) -> int:
+    """The reduced cusp-form power D = N_t - 1 of the singular ansatz."""
+    return max(n_cap(t) - 1, 0)
+
+
+def singular_trunc(t: int, delta_power: int | None = None) -> int:
+    """Least truncation of the singular solve at index t over Delta^D: the
+    principal part and the determining orders, D + m_cap(t), and at least the
+    q^1-term of the quotient, D + 2."""
+    D = _reduced_delta_power(t) if delta_power is None else delta_power
+    return max(D + m_cap(t), D + 2)
 
 
 def orbit_count_norm(t: int) -> int:
@@ -270,13 +295,13 @@ def weak_basis(k: int, t: int, trunc: int | None = None,
     `shuffle` permutes the internal column/row order — the computed space is
     unchanged (property tests).
     """
-    assert t >= 1
+    _check_index(t)
     if trunc is None:
         trunc = config.get_config().truncation
     N = n_cap(t)
-    if trunc < N + 1:
+    if trunc < (need := weak_trunc(t)):
         raise TruncationError(
-            f"weak basis at index {t} needs series order >= {N + 1} "
+            f"weak basis at index {t} needs series order >= {need} "
             f"(numerator vanishing to q^{N}); configured {trunc}")
     specs = _slot_specs(k, t, N)
     cols, forms = _column_forms(specs, trunc)
@@ -448,7 +473,7 @@ def module_generators(t: int, trunc: int | None = None) -> ModuleDescription:
     order of their q^0 orbit coefficients, then greedily taken modulo the
     Eisenstein image.
     """
-    assert t >= 1
+    _check_index(t)
     if trunc is None:
         trunc = config.get_config().truncation
 
@@ -523,7 +548,8 @@ def gen_series(t: int, order: int = 20, module: ModuleDescription | None = None,
     """
     if module is None:
         module = module_generators(t, trunc=trunc)
-    assert module.index == t
+    if module.index != t:
+        raise ValueError(f"module of index {module.index} given for index {t}")
     return module.series(order)
 
 
@@ -536,7 +562,7 @@ def holo_dim(k: int, t: int, trunc: int | None = None) -> int:
     singular space; for even k >= 6 the delta_t obstruction channels are
     independent, so the dimension is the weak dimension minus delta_t.
     """
-    assert t >= 1
+    _check_index(t)
     if k < 4 or k % 2:
         return 0
     if k == 4:
@@ -581,10 +607,6 @@ class SingularSpace:
     basis: list[JacobiExpansion]
     free_channels: list[tuple[int, tuple[int, ...]]]
 
-    def coordinates(self, f: JacobiExpansion) -> list[Fraction]:
-        return [f.coeffs[n].get(x, Fraction(0)) if n < f.trunc else None
-                for n, x in self.free_channels]
-
     def phi(self, m) -> tuple[JacobiExpansion, Fraction] | None:
         """The canonical singular form attached to a norm-2t orbit.
 
@@ -596,18 +618,18 @@ class SingularSpace:
         channels = dominant_by_norm(self.index)
         if m not in channels:
             raise ValueError(f"{m} is not dominant of squared norm {2 * self.index}")
-        rows = [[b.coeff(0, ZERO) for b in self.basis]]
-        rhs = [Fraction(1)]
+        rows = [[b.coeff(0, ZERO) for b in self.basis] + [Fraction(1)]]
         for x in channels:
             if x != m:
-                rows.append([b.coeff(1, x) for b in self.basis])
-                rhs.append(Fraction(0))
-        if linalg.rank(rows, len(self.basis)) < len(self.basis):
+                rows.append([b.coeff(1, x) for b in self.basis] + [Fraction(0)])
+        # unique iff every basis column is a pivot of the RREF of [rows | rhs]
+        # and the right-hand side is not: len(basis) rows, the last one with
+        # its pivot in the last basis column
+        nb = len(self.basis)
+        reduced = linalg.rref(rows, nb + 1)
+        if len(reduced) != nb or not reduced[-1][nb - 1]:
             return None
-        sol = linalg.solve(rows, rhs)
-        if sol is None:
-            return None
-        out = combine(sol, self.basis)
+        out = combine([row[nb] for row in reduced], self.basis)
         return out, out.coeff(1, m)
 
 
@@ -621,13 +643,13 @@ def singular_solve(t: int, delta_power: int | None = None,
     non-singular channel up to the determining order m_cap(t).  The span of
     the solutions plus the index-raised theta form is the full space.
     """
-    assert t >= 1
+    _check_index(t)
     if trunc is None:
         trunc = config.get_config().truncation
-    D = max(n_cap(t) - 1, 0) if delta_power is None else delta_power
+    D = _reduced_delta_power(t) if delta_power is None else delta_power
     top = t1(t)
     M = m_cap(t)
-    required = max(D + M, D + 2)
+    required = singular_trunc(t, D)
     if trunc < required:
         raise TruncationError(
             f"singular solve at index {t} needs series order >= {required}; "
@@ -721,8 +743,7 @@ STABLE_COUNTS = {
 EXPECTED_PAIRING = [4, 5, 7, 10, 8, 6, 4, 2]
 
 
-def conjecture_report(t_range, singular_range=None, trunc: int | None = None,
-                      modules: dict[int, ModuleDescription] | None = None) -> dict:
+def conjecture_report(t_range) -> dict:
     """Numerical evidence report over the given index range.
 
     Checks, per index: the minimal weight against the -4t bound; uniqueness
@@ -733,10 +754,7 @@ def conjecture_report(t_range, singular_range=None, trunc: int | None = None,
     Reports only over the computed range; never extrapolates.
     """
     t_list = sorted(t_range)
-    sing_list = sorted(singular_range) if singular_range is not None else t_list
-    if modules is None:
-        modules = {}
-    report: dict = {"indices": t_list, "singular_indices": sing_list}
+    report: dict = {"indices": t_list}
 
     observed_pairing = pairing_values()
     report["pairing_values"] = {
@@ -747,9 +765,7 @@ def conjecture_report(t_range, singular_range=None, trunc: int | None = None,
 
     per_index = {}
     for t in t_list:
-        mod = modules.get(t)
-        if mod is None:
-            mod = modules[t] = module_generators(t, trunc=trunc)
+        mod = module_generators(t)
         entry = {
             "min_weight": mod.min_weight,
             "min_weight_bound": -4 * t,
@@ -780,8 +796,8 @@ def conjecture_report(t_range, singular_range=None, trunc: int | None = None,
     report["stability"] = stability
 
     singular = {}
-    for t in sing_list:
-        space = singular_solve(t, trunc=trunc)
+    for t in t_list:
+        space = singular_solve(t)
         n_t = orbit_count_norm(t)
         entry = {"H": space.dimension, "N": n_t,
                  "ok": space.dimension == n_t, "phi": {}}

@@ -5,6 +5,7 @@ import json
 import os
 import sqlite3
 from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +104,24 @@ def test_tables_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["t", "N(t)"]
     assert rows[1:] == [["1", "1"], ["2", "1"], ["3", "1"]]
+
+
+# Full stdout and exit code of every table in every format and of every check
+# in text and JSON, at the default orders.  The gap markers are pinned on both
+# sides of the `delta` cutoff without computing delta(60), which takes seconds.
+GOLDENS = json.loads((Path(__file__).parent / "cli_goldens.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(GOLDENS))
+def test_tables_and_verify_goldens(capsys, command):
+    code, out, _ = run(capsys, command.split())
+    assert {"exit": code, "stdout": out} == GOLDENS[command]
+
+
+def test_goldens_cover_every_table_and_check():
+    commands = [c.split()[:2] for c in GOLDENS]
+    assert {c for kind, c in commands if kind == "tables"} == {*cli._TABLES, "stability"}
+    assert {c for kind, c in commands if kind == "verify"} == set(cli._VERIFY)
 
 
 def test_verify_pass(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from e8jacobi import genring
 from e8jacobi.expansion import (add, eval_zero, from_qseries, multiply, scale,
-                                to_payload, zero)
+                                theta_e8, to_payload, zero)
 from e8jacobi.genring import (DELTA_POLY, GEN_INDEX, GEN_ORDER, GEN_WEIGHT,
                               NAMED_POLYNOMIALS, P4, PIVOT_SCALE, WEAK_INDEX2,
                               WEAK_INDEX3, GeneratorPolynomial, expand,
@@ -72,6 +72,24 @@ def test_named_polynomial_bidegrees():
         assert p.is_bihomogeneous()
     # P165 avoids E4 entirely, so P165/E4 is the interesting quotient.
     assert all(e[0] == 0 for e in NAMED_POLYNOMIALS["P165"].terms)
+
+
+def test_bidegree_checks_raise():
+    mixed_weight = GeneratorPolynomial.from_text("A1 + E6")
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        mixed_weight.weight
+    with pytest.raises(ValueError, match="not index-homogeneous"):
+        mixed_weight.index
+    mixed_index = GeneratorPolynomial.from_text("A1*E6 + A2*E6")
+    assert mixed_index.weight == 10
+    with pytest.raises(ValueError, match="not index-homogeneous"):
+        mixed_index.index
+
+
+def test_generator_constant_term_checks_raise(engine_cache, monkeypatch):
+    monkeypatch.setattr(genring, "theta_e8", lambda trunc: scale(theta_e8(trunc), 2))
+    with pytest.raises(ArithmeticError, match="A1 has constant term 2, not 1"):
+        genring._partial_generators(3)
 
 
 def test_pin_b4_constants_and_q1(gens6):

@@ -98,9 +98,16 @@ def test_shells_match_divisor_formula():
 
 
 def test_shell_memory_guard():
-    with config.using(max_shell_norm=4):
-        with pytest.raises(config.TruncationError):
-            shell(3)  # squared norm 6 exceeds the lowered guard
+    with pytest.raises(config.TruncationError, match="squared norm 18"):
+        shell(9)  # squared norm 18 exceeds the guard of 16
+
+
+def test_encode_range_checks_raise():
+    edge = np.array([[63] + [0] * (RANK - 1), [-63] * RANK], dtype=np.int64)
+    assert (decode(encode(edge)) == edge).all()
+    for bad in (64, -64):
+        with pytest.raises(ArithmeticError, match="key range"):
+            encode(np.array([[0] * (RANK - 1) + [bad]], dtype=np.int64))
 
 
 def test_dominant_by_T_counts():

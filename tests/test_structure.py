@@ -255,6 +255,54 @@ def test_truncation_errors(gens6):
         st.singular_solve(2, trunc=1)
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_weak_truncation_rule_is_the_boundary(gens6, t):
+    need = st.weak_trunc(t)
+    with pytest.raises(st.TruncationError):
+        st.weak_basis(4, t, trunc=need - 1)
+    assert st.weak_basis(4, t, trunc=need).dim == st.weak_basis(4, t, trunc=6).dim
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_singular_truncation_rule_is_the_boundary(gens6, t):
+    need = st.singular_trunc(t)
+    with pytest.raises(st.TruncationError):
+        st.singular_solve(t, trunc=need - 1)
+    assert st.singular_solve(t, trunc=need).dimension == 1
+
+
+def test_phi_without_a_unique_combination(gens6):
+    x4 = x_form(4, 3)
+    space = st.singular_solve(4)
+    m = dominant_by_norm(4)[0]
+    # a repeated basis form: the combination is not unique
+    twice = st.SingularSpace(4, 2, 0, 1, [x4, x4], [])
+    assert twice.phi(m) is None
+    # x_form(4) alone has q^1-terms on both norm-8 orbits: no combination
+    alone = st.SingularSpace(4, 1, 0, 1, [x4], [])
+    assert all(x4.coeff(1, x) for x in dominant_by_norm(4))
+    assert alone.phi(m) is None
+    assert space.phi(m) is not None
+
+
+def test_index_checks_raise():
+    for rule in (st.delta_t, st.t1, st.n_cap, st.m_cap, st.weak_trunc, st.singular_trunc):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            rule(0)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        st.weak_basis(4, 0, trunc=6)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        st.module_generators(0, trunc=6)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        st.holo_dim(6, 0, trunc=6)
+    with pytest.raises(ValueError, match="index must be >= 1"):
+        st.singular_solve(-1, trunc=6)
+    with pytest.raises(ValueError, match="largest index"):
+        st.rank_r(-1)
+    with pytest.raises(ValueError, match="module of index 1 given for index 2"):
+        st.gen_series(2, module=SimpleNamespace(index=1))
+
+
 def test_stable_counts_shape():
     assert st.STABLE_COUNTS[0] == (2, 1)
     assert st.STABLE_COUNTS[-24] == (12, 12)
